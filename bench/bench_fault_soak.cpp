@@ -7,21 +7,18 @@
 /// checkpointing) exists to make those runs finish with the *same* network.
 /// This soak generates a seeded probabilistic fault plan per iteration,
 /// cycles through the shared-memory backend, the in-process message-passing
-/// transport, and the process-isolated transport, and requires every
-/// faulted run to produce adjacency triplets bit-identical to a clean run.
+/// transport, and the loopback TCP transport, and requires every faulted
+/// run to produce adjacency triplets bit-identical to a clean run.
 ///
 /// Per-column recoverability rules (a plan must only inject faults the
 /// column can survive):
 ///   shared      delays only — the shared-memory pool has no retry layer
 ///   mp-inproc   delays + command throws + torn frames + scripted rank
 ///               kills, under degrade policy with a command timeout
-///   mp-process  the above plus real SIGKILLs (root-scripted and
-///               worker-side kill-process), absorbed by respawn or
-///               loss reassignment
 ///   mp-tcp      the mp-inproc set plus real connection drops and torn
 ///               wire frames (the worker re-dials — the reconnect path)
-///               and worker-side kill-process, absorbed by loss
-///               reassignment (no respawn over TCP)
+///               and worker-side kill-process, absorbed by respawn and,
+///               once the respawn budget drains, loss reassignment
 ///   abm-ckpt    the simulation side: a checkpointing ABM run killed at a
 ///               seeded random simulated hour (abm.step throw), resumed
 ///               from the last committed checkpoint, and required to
@@ -54,8 +51,8 @@ using runtime::FaultAction;
 using runtime::FaultPlan;
 using runtime::FaultSpec;
 
-enum class Column { kShared, kMpInproc, kMpProcess, kMpTcp, kAbmCkpt };
-inline constexpr std::uint64_t kColumnCount = 5;
+enum class Column { kShared, kMpInproc, kMpTcp, kAbmCkpt };
+inline constexpr std::uint64_t kColumnCount = 4;
 
 const char* columnName(Column column) {
   switch (column) {
@@ -63,8 +60,6 @@ const char* columnName(Column column) {
       return "shared";
     case Column::kMpInproc:
       return "mp-inproc";
-    case Column::kMpProcess:
-      return "mp-process";
     case Column::kMpTcp:
       return "mp-tcp";
     case Column::kAbmCkpt:
@@ -114,30 +109,13 @@ void makePlan(FaultPlan& plan, Column column, util::Rng& rng) {
     }
     return;
   }
-  if (column == Column::kMpProcess) {
-    // Process column: real process deaths. The root-side variant SIGKILLs
-    // the destination of one scripted frame; the worker-side variant makes
-    // one rank SIGKILL itself with low probability (the plan is replayed
-    // into respawns, so a hot streak can exhaust the budget — that is the
-    // reassignment path, still recoverable).
-    if (rng.bernoulli(0.5)) {
-      plan.at("proc.send",
-              FaultSpec{.action = FaultAction::kKillRank,
-                        .hit = 1 + rng.uniformBelow(8)});
-    }
-    if (rng.bernoulli(0.4)) {
-      plan.at("mp.service.command",
-              FaultSpec{.action = FaultAction::kKillProcess,
-                        .probability = rng.uniformReal(0.05, 0.25),
-                        .rank = static_cast<int>(1 + rng.uniformBelow(3))});
-    }
-    return;
-  }
   // TCP column: real connection drops. A scripted kKillRank at tcp.drop
   // severs one live connection (the worker re-dials — the reconnect
   // path); probabilistic frame tears poison the worker's read side into a
-  // re-dial as well; and a worker-side kill-process drains straight into
-  // loss reassignment, since there is no respawn over TCP.
+  // re-dial as well; and a worker-side kill-process is a real process
+  // death, absorbed by respawn (the plan is replayed into the respawned
+  // child, so a hot streak can drain the budget into loss reassignment,
+  // still recoverable).
   if (rng.bernoulli(0.6)) {
     plan.at("tcp.drop",
             FaultSpec{.action = FaultAction::kKillRank,
@@ -171,11 +149,7 @@ net::SynthesisConfig makeConfig(Column column, util::Rng& rng) {
   config.commandTimeoutMs = 600;
   config.commandMaxAttempts = 8;
   config.commandBackoffMs = 1;
-  if (column == Column::kMpProcess) {
-    config.transport = net::MpTransport::kProcess;
-    config.heartbeatMs = 100;
-    config.maxRespawns = 1 + static_cast<int>(rng.uniformBelow(2));
-  } else if (column == Column::kMpTcp) {
+  if (column == Column::kMpTcp) {
     config.transport = net::MpTransport::kTcp;
     config.heartbeatMs = 100;
     config.connectTimeoutMs = 2000;
@@ -279,7 +253,7 @@ std::string soakAbmCheckpoint(const pop::SyntheticPopulation& population,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // The process column re-enters this binary for its workers.
+  // The TCP column re-enters this binary for its workers.
   if (const auto workerExit = chisimnet::net::maybeRunSynthesisWorker()) {
     return *workerExit;
   }

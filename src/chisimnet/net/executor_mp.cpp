@@ -19,7 +19,6 @@
 #include "chisimnet/net/executor.hpp"
 #include "chisimnet/net/mp_protocol.hpp"
 #include "chisimnet/runtime/fault.hpp"
-#include "chisimnet/runtime/process_transport.hpp"
 #include "chisimnet/runtime/tcp_transport.hpp"
 #include "chisimnet/util/error.hpp"
 #include "chisimnet/util/timer.hpp"
@@ -169,26 +168,17 @@ MessagePassingExecutor::MessagePassingExecutor(const SynthesisConfig& config)
     : SynthesisExecutor(config),
       ranks_(static_cast<int>(config.workers)),
       pending_(static_cast<std::size_t>(config.workers)) {
-  if (config.transport == MpTransport::kProcess) {
-    // Worker ranks are separate OS processes behind Unix-domain sockets.
+  if (config.transport == MpTransport::kTcp) {
+    // Worker ranks are separate OS processes that dial rank 0 over TCP.
     // The hello payload carries the stage parameters, so a worker (or a
     // respawned replacement) computes with exactly the root's config.
-    runtime::ProcessTransportOptions options;
-    options.rankCount = ranks_;
-    options.heartbeatMs = config.heartbeatMs;
-    options.maxRespawns = config.maxRespawns;
-    options.executable = config.workerExecutable;
-    options.helloPayload = mp::encodeStageParams(stageParamsOf(config));
-    auto transport = std::make_unique<runtime::ProcessTransport>(options);
-    processTransport_ = transport.get();
-    team_ = std::make_unique<runtime::RankTeam>(std::move(transport));
-  } else if (config.transport == MpTransport::kTcp) {
-    // Worker ranks dial rank 0 over TCP. Stage commands run with shipRuns:
-    // workers spill locally and ship run bytes on kShipTag, which the sink
-    // materializes into the root's spill directory.
+    // Stage commands run with shipRuns: workers spill locally and ship run
+    // bytes on kShipTag, which the sink materializes into the root's spill
+    // directory.
     runtime::TcpTransportOptions options;
     options.rankCount = ranks_;
     options.heartbeatMs = config.heartbeatMs;
+    options.maxRespawns = config.maxRespawns;
     options.connectTimeoutMs = config.connectTimeoutMs;
     options.connectRetries = config.connectRetries;
     options.reconnectGraceMs = config.reconnectGraceMs;
@@ -868,33 +858,20 @@ std::vector<sparse::ShardSegment> MessagePassingExecutor::mergeSpillShards(
 }
 
 std::vector<FaultEvent> MessagePassingExecutor::drainFaultEvents() {
-  if (processTransport_ != nullptr) {
-    for (runtime::ProcessTransport::WorkerEvent& event :
-         processTransport_->drainEvents()) {
-      if (event.kind !=
-          runtime::ProcessTransport::WorkerEvent::Kind::kRespawn) {
+  if (tcpTransport_ != nullptr) {
+    using WorkerKind = runtime::TcpTransport::WorkerEvent::Kind;
+    for (runtime::TcpTransport::WorkerEvent& event :
+         tcpTransport_->drainEvents()) {
+      if (event.kind == WorkerKind::kPermanentDeath) {
         // Permanent deaths are accounted as kRankLost by the command retry
         // loop (markLost), which owns the live set; double-reporting them
         // here would double-count ranksLost.
         continue;
       }
       FaultEvent mapped;
-      mapped.kind = FaultEvent::Kind::kWorkerRespawn;
-      mapped.rank = event.rank;
-      mapped.detail = std::move(event.detail);
-      faultEvents_.push_back(std::move(mapped));
-    }
-  }
-  if (tcpTransport_ != nullptr) {
-    for (runtime::TcpTransport::WorkerEvent& event :
-         tcpTransport_->drainEvents()) {
-      if (event.kind != runtime::TcpTransport::WorkerEvent::Kind::kReconnect) {
-        // Permanent deaths are accounted as kRankLost by the command retry
-        // loop (markLost), which owns the live set.
-        continue;
-      }
-      FaultEvent mapped;
-      mapped.kind = FaultEvent::Kind::kWorkerReconnect;
+      mapped.kind = event.kind == WorkerKind::kRespawn
+                        ? FaultEvent::Kind::kWorkerRespawn
+                        : FaultEvent::Kind::kWorkerReconnect;
       mapped.rank = event.rank;
       mapped.detail = std::move(event.detail);
       faultEvents_.push_back(std::move(mapped));
@@ -1001,8 +978,8 @@ int runTcpSynthesisWorker() {
           return 0;
         case mp::ServiceOutcome::kDie:
           // Injected silent death: exit without replying. The root sees
-          // the connection close; the slot machine decides between the
-          // reconnect grace and permanent loss.
+          // the connection close and reaps this process; the slot machine
+          // decides between respawn and permanent loss.
           cleanup();
           return 0;
       }
@@ -1020,45 +997,10 @@ int runTcpSynthesisWorker() {
 }  // namespace
 
 std::optional<int> maybeRunSynthesisWorker() {
-  if (runtime::TcpWorkerLink::isTcpWorkerProcess()) {
-    return runTcpSynthesisWorker();
-  }
-  if (!runtime::ProcessWorkerLink::isWorkerProcess()) {
+  if (!runtime::TcpWorkerLink::isTcpWorkerProcess()) {
     return std::nullopt;
   }
-  try {
-    installWorkerFaultPlan();
-    runtime::ProcessWorkerLink link;
-    const runtime::ProcessWorkerLink::Hello hello = link.handshake();
-    const mp::StageParams params = mp::decodeStageParams(hello.payload);
-    while (true) {
-      const runtime::Message message = link.recv();
-      if (message.tag != mp::kCommandTag) {
-        continue;  // not a command frame; nothing to service
-      }
-      std::vector<std::byte> reply;
-      switch (mp::serviceSynthesisCommand(params, link.rank(),
-                                          message.payload, reply)) {
-        case mp::ServiceOutcome::kReply:
-          link.send(mp::kReplyTag, reply);
-          break;
-        case mp::ServiceOutcome::kStop:
-          return 0;
-        case mp::ServiceOutcome::kDie:
-          // Injected silent death: exit without replying. The root sees
-          // the socket close and drives the respawn/loss state machine —
-          // the process-transport analogue of the in-process service
-          // thread returning mid-run.
-          return 0;
-      }
-    }
-  } catch (const std::exception& error) {
-    // Includes the orderly "root connection closed" on root teardown
-    // without a stop command; either way the worker has nothing left to
-    // do. Real errors are logged for the parent's stderr.
-    std::fprintf(stderr, "chisim worker: %s\n", error.what());
-    return 1;
-  }
+  return runTcpSynthesisWorker();
 }
 
 }  // namespace chisimnet::net

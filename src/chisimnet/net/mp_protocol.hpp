@@ -17,9 +17,9 @@
 /// protocol used to live in executor_mp.cpp's anonymous namespace; it is a
 /// module of its own so the exact same command service runs in two places:
 /// the in-process RankTeam service threads and the exec'd worker processes
-/// of the socket transport (runtime::ProcessTransport). Both decode the
-/// same frames, execute the same stage kernels, and produce byte-identical
-/// replies — which is what makes `--transport process` transparent to the
+/// of the TCP transport (runtime::TcpTransport). Both decode the same
+/// frames, execute the same stage kernels, and produce byte-identical
+/// replies, which is what makes `--transport tcp` transparent to the
 /// driver.
 ///
 /// Frames (all integers little-endian):

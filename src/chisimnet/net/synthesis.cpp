@@ -100,7 +100,7 @@ NetworkSynthesizer::NetworkSynthesizer(SynthesisConfig config)
                  "resume requires a checkpoint directory");
   CHISIM_REQUIRE(config.transport == MpTransport::kInProcess ||
                      config.backend == SynthesisBackend::kMessagePassing,
-                 "--transport process/tcp requires --backend mp");
+                 "--transport tcp requires --backend mp");
   CHISIM_REQUIRE(config.maxRespawns >= 0, "maxRespawns must be >= 0");
   CHISIM_REQUIRE(config.transport == MpTransport::kInProcess ||
                      config.heartbeatMs >= 1,
@@ -108,7 +108,7 @@ NetworkSynthesizer::NetworkSynthesizer(SynthesisConfig config)
   CHISIM_REQUIRE(config.transport == MpTransport::kInProcess ||
                      config.faultPolicy != FaultPolicy::kDegrade ||
                      config.commandTimeoutMs > 0,
-                 "the process/tcp transport under --fault-policy degrade "
+                 "the tcp transport under --fault-policy degrade "
                  "requires --command-timeout-ms > 0: a crashed worker never "
                  "replies, so without a deadline the root hangs instead of "
                  "recovering");

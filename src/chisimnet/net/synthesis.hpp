@@ -61,16 +61,14 @@ enum class MpTransport {
   /// wire (the default; no crash isolation, no serialization of the wire
   /// frames beyond the command payloads).
   kInProcess,
-  /// Ranks are fork/exec'd OS processes speaking length-framed Unix-domain
-  /// socket streams (runtime::ProcessTransport). A worker crash — real
-  /// SIGKILL included — is survived by respawn and/or the rank-loss
-  /// reassignment path, with bit-identical output.
-  kProcess,
-  /// Ranks dial rank 0 over TCP (runtime::TcpTransport) speaking the same
-  /// CSF1 frames — the multi-host story. A dropped connection is survived
-  /// by worker-initiated reconnect inside a grace window (epoch-replayed
-  /// handshake) and/or the same rank-loss reassignment path; spill runs
-  /// ship their bytes over the wire, so workers need no shared filesystem.
+  /// Ranks are OS processes that dial rank 0 over TCP
+  /// (runtime::TcpTransport) speaking CSF1 frames: fork/exec'd loopback
+  /// children by default, or workers on other hosts. A dropped connection
+  /// is survived by worker-initiated reconnect inside a grace window
+  /// (epoch-replayed handshake), a crashed loopback child (real SIGKILL
+  /// included) by respawn, and either by the rank-loss reassignment path,
+  /// with bit-identical output; spill runs ship their bytes over the wire,
+  /// so workers need no shared filesystem.
   kTcp,
 };
 
@@ -78,8 +76,6 @@ inline const char* mpTransportName(MpTransport transport) noexcept {
   switch (transport) {
     case MpTransport::kInProcess:
       return "inproc";
-    case MpTransport::kProcess:
-      return "process";
     case MpTransport::kTcp:
       return "tcp";
   }
@@ -198,29 +194,29 @@ struct SynthesisConfig {
   /// Base of the exponential backoff between command retries.
   std::uint64_t commandBackoffMs = 10;
 
-  // ---- process / tcp transport (kMessagePassing backend only) ----
+  // ---- tcp transport (kMessagePassing backend only) ----
 
-  /// Where the ranks live: service threads in this process (default),
-  /// fork/exec'd worker processes over Unix-domain sockets, or TCP-dialing
-  /// workers (possibly on other hosts). The process and tcp transports
-  /// under kDegrade require commandTimeoutMs > 0 — a crashed worker never
-  /// replies, so without a deadline the root would hang on it instead of
-  /// retrying into the respawn/reconnect/reassignment path.
+  /// Where the ranks live: service threads in this process (default) or
+  /// TCP-dialing worker processes (loopback children or other hosts). The
+  /// tcp transport under kDegrade requires commandTimeoutMs > 0 — a
+  /// crashed worker never replies, so without a deadline the root would
+  /// hang on it instead of retrying into the respawn/reconnect/reassignment
+  /// path.
   MpTransport transport = MpTransport::kInProcess;
-  /// Process transport: times a rank's worker process is re-execed after
-  /// it dies before the rank is abandoned to the loss/reassignment path.
-  /// 0 disables respawn (first death is permanent loss).
+  /// Loopback (spawn-mode) workers: times a rank's worker process is
+  /// re-exec'd after it dies, or stays silent past the reconnect grace,
+  /// before the rank is abandoned to the loss/reassignment path. 0
+  /// disables respawn (first death is permanent loss). External workers
+  /// cannot be re-exec'd.
   int maxRespawns = 1;
-  /// Process/tcp transport: heartbeat ping period (also the liveness
-  /// monitor cadence, so ~the respawn/reconnect-detection latency). A
-  /// worker silent for 8 periods is presumed hung and dropped.
+  /// Heartbeat ping period (also the liveness monitor cadence, so ~the
+  /// respawn/reconnect-detection latency). A worker silent for 8 periods
+  /// is presumed hung and dropped.
   std::uint64_t heartbeatMs = 250;
-  /// Process/tcp transport: worker binary to exec; empty re-enters the
-  /// current binary (/proc/self/exe), whose main() must call
+  /// Worker binary to exec in loopback mode; empty re-enters the current
+  /// binary (/proc/self/exe), whose main() must call
   /// maybeRunSynthesisWorker() first.
   std::string workerExecutable;
-
-  // ---- tcp transport (transport == kTcp only) ----
 
   /// Per-attempt deadline of a worker's dial + hello handshake.
   std::uint64_t connectTimeoutMs = 5000;
@@ -267,11 +263,9 @@ struct SynthesisConfig {
   /// resolves to checkpointDir/"spill" when checkpointing (so spill runs
   /// are covered by the checkpoint manifest) or to a unique directory
   /// under the system temp dir that the synthesizer removes on
-  /// destruction. Note the message-passing process transport requires the
-  /// workers to share this filesystem (they are local fork/exec children,
-  /// so they do); the tcp transport does not — its workers spill into
-  /// private local directories and ship run bytes over the wire, and this
-  /// directory is where the root materializes them.
+  /// destruction. The tcp transport's workers need no access to it: they
+  /// spill into private local directories and ship run bytes over the
+  /// wire, and this directory is where the root materializes them.
   std::filesystem::path spillDir;
 
   // ---- sharded external merge (stage-6 spill reduce) ----
@@ -376,7 +370,8 @@ struct SynthesisReport {
   std::vector<elog::QuarantinedFile> quarantined;
   std::uint64_t commandRetries = 0;  ///< worker commands retried
   int ranksLost = 0;                 ///< ranks declared dead this run
-  /// Process transport: dead worker processes re-execed for their rank.
+  /// Tcp transport: dead loopback worker processes re-exec'd for their
+  /// rank.
   std::uint64_t workersRespawned = 0;
   /// Tcp transport: disconnected workers that re-dialed inside the grace
   /// window and resumed their rank (epoch-replayed handshake).

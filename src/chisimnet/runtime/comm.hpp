@@ -23,9 +23,8 @@
 /// agents migrate between ranks by message, and each rank logs its own
 /// events. This module reproduces that structure behind a pluggable
 /// `Transport`: the default `Communicator` keeps ranks as threads and
-/// mailboxes as the wire, while `ProcessTransport`
-/// (process_transport.hpp) moves ranks into separate OS processes over
-/// Unix-domain sockets. Every rank-level algorithm (migration,
+/// mailboxes as the wire, while `TcpTransport` (tcp_transport.hpp) moves
+/// ranks into separate OS processes over TCP. Every rank-level algorithm (migration,
 /// scatter/reduce synthesis) runs unchanged on either. Semantics follow
 /// MPI where it matters: point-to-point messages between a (source, dest,
 /// tag) triple are non-overtaking, recv blocks, collectives are executed
@@ -130,9 +129,9 @@ class MessageQueue {
 };
 
 /// The wire under a rank group. `self` is the calling rank; in-process
-/// every rank calls in, on the socket transport only the root endpoint
+/// every rank calls in, on the TCP transport only the root endpoint
 /// (rank 0) lives in this process and workers speak the frame protocol
-/// directly (see ProcessWorkerLink).
+/// directly (see TcpWorkerLink).
 class Transport {
  public:
   virtual ~Transport() = default;

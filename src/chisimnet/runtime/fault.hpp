@@ -26,14 +26,17 @@
 ///   driver.adjacency    driver stage 5
 ///   driver.reduce       driver stage 6
 ///   driver.batch        after a batch completes (post-checkpoint)
-///   mp.service.command  RankTeam service loop, on each received command
+///   mp.service.command  command service loop (RankTeam thread or TCP
+///                       worker process), on each received command
 ///   mp.send             MessagePassingExecutor root, before each command send
 ///   mp.collect          MessagePassingExecutor root, before each reply wait
-///   proc.send           ProcessTransport root, per outgoing wire frame
-///                       (kTruncate = torn write; kKillRank = SIGKILL the
-///                       destination worker process)
-///   proc.worker.send    ProcessWorkerLink, per outgoing wire frame in the
-///                       worker process (kTruncate = torn write)
+///   tcp.accept          TcpTransport root, per parsed worker hello (kThrow
+///                       refuses the dial)
+///   tcp.connect         TcpWorkerLink, per dial attempt (kThrow fails it)
+///   tcp.delay           TcpTransport root, per outgoing wire frame (kDelay)
+///   tcp.drop            TcpTransport root, per outgoing wire frame
+///                       (kTruncate = torn write; kKillRank = drop the
+///                       destination's connection, so the worker re-dials)
 ///   spill.write         SpillRunWriter::finish, after the run body is on
 ///                       disk but BEFORE the tmp→final rename (kThrow models
 ///                       a crash mid-spill leaving only a .tmp orphan)
@@ -71,8 +74,8 @@ enum class FaultAction : std::uint32_t {
   /// frame); sites without a payload treat it as kNone.
   kTruncate,
   /// Returned to the caller, which must simulate a dead rank (a service
-  /// loop returns without replying and stays silent forever). At
-  /// proc.send it is real: the destination worker process is SIGKILLed.
+  /// loop returns without replying and stays silent forever). At tcp.drop
+  /// it severs the destination worker's connection instead.
   kKillRank,
   /// Raises SIGKILL against the *current* process — a real, unhandleable
   /// crash. Only meaningful inside a transport worker process (shipped
@@ -180,8 +183,8 @@ FaultPlan* install(FaultPlan* plan) noexcept;
 /// per-site cost when fault injection is idle.
 bool armed() noexcept;
 
-/// The currently installed plan (nullptr when disarmed). Used by the
-/// process transport to forward the plan to spawned workers.
+/// The currently installed plan (nullptr when disarmed). Used by the TCP
+/// transport to forward the plan to spawned workers.
 FaultPlan* current() noexcept;
 
 /// Fires the installed plan at `site`; returns kNone when no plan is

@@ -7,7 +7,7 @@
 #include <thread>
 #include <vector>
 
-/// Liveness primitives for the process transport.
+/// Liveness primitives for the TCP transport.
 ///
 /// The root process decides a worker is dead from two signals: the kernel
 /// (SIGCHLD/waitpid, socket EOF) and silence (no pong for too long). The

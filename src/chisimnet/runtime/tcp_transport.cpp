@@ -17,7 +17,6 @@
 #include <unistd.h>
 
 #include "chisimnet/runtime/fault.hpp"
-#include "chisimnet/runtime/process_transport.hpp"  // bootstrap env names
 
 extern char** environ;
 
@@ -166,6 +165,7 @@ TcpTransport::TcpTransport(TcpTransportOptions options)
   CHISIM_REQUIRE(options_.connectTimeoutMs >= 1,
                  "connect timeout must be >= 1ms");
   CHISIM_REQUIRE(options_.connectRetries >= 0, "negative connect retries");
+  CHISIM_REQUIRE(options_.maxRespawns >= 0, "negative respawn budget");
   slots_.reserve(static_cast<std::size_t>(options_.rankCount));
   for (int rank = 0; rank < options_.rankCount; ++rank) {
     slots_.push_back(std::make_unique<Slot>());
@@ -318,13 +318,18 @@ void TcpTransport::spawnWorker(int rank) {
   // only call async-signal-safe functions, so no allocation after fork.
   const std::string exe =
       options_.executable.empty() ? "/proc/self/exe" : options_.executable;
+  std::uint64_t epoch = 0;
+  {
+    std::lock_guard<std::mutex> lock(stateMutex_);
+    epoch = slot(rank).epoch;
+  }
   std::vector<std::string> env;
   for (char** entry = environ; *entry != nullptr; ++entry) {
     const std::string_view view(*entry);
-    if (view.starts_with(std::string(kWorkerFdEnv) + "=") ||
-        view.starts_with(std::string(kWorkerTcpEnv) + "=") ||
+    if (view.starts_with(std::string(kWorkerTcpEnv) + "=") ||
         view.starts_with(std::string(kWorkerRankEnv) + "=") ||
         view.starts_with(std::string(kWorkerRankCountEnv) + "=") ||
+        view.starts_with(std::string(kWorkerEpochEnv) + "=") ||
         view.starts_with(std::string(kWorkerConnectTimeoutEnv) + "=") ||
         view.starts_with(std::string(kWorkerConnectRetriesEnv) + "=") ||
         view.starts_with(std::string(kWorkerFaultPlanEnv) + "=")) {
@@ -336,6 +341,7 @@ void TcpTransport::spawnWorker(int rank) {
   env.push_back(std::string(kWorkerRankEnv) + "=" + std::to_string(rank));
   env.push_back(std::string(kWorkerRankCountEnv) + "=" +
                 std::to_string(options_.rankCount));
+  env.push_back(std::string(kWorkerEpochEnv) + "=" + std::to_string(epoch));
   env.push_back(std::string(kWorkerConnectTimeoutEnv) + "=" +
                 std::to_string(options_.connectTimeoutMs));
   env.push_back(std::string(kWorkerConnectRetriesEnv) + "=" +
@@ -374,7 +380,8 @@ void TcpTransport::acceptLoop() {
     if (ready <= 0) {
       continue;  // timeout or EINTR; loop re-checks the shutdown flag
     }
-    const int fd = ::accept(listenFd_, nullptr, nullptr);
+    // CLOEXEC from the start: the monitor may fork a respawn at any time.
+    const int fd = ::accept4(listenFd_, nullptr, nullptr, SOCK_CLOEXEC);
     if (fd < 0) {
       if (errno == EINTR || errno == ECONNABORTED || errno == EAGAIN) {
         continue;
@@ -442,7 +449,7 @@ bool TcpTransport::admitWorker(int fd, int rank, std::uint64_t claimedEpoch) {
       return false;  // stale-epoch zombie (or an impostor guessing)
     }
     granted = s.epoch + 1;
-    isReconnect = s.epoch > 0;
+    isReconnect = s.epoch > 0 && !s.respawning;
     reconnectDetail = s.lastDeathDetail;
   }
 
@@ -465,9 +472,9 @@ bool TcpTransport::admitWorker(int fd, int rank, std::uint64_t claimedEpoch) {
     s.live = true;
     s.deadPending = false;
     s.reconnecting = false;
+    s.respawning = false;
     s.lastDeathDetail.clear();
     if (isReconnect) {
-      reconnects_.fetch_add(1, std::memory_order_relaxed);
       noteEvent(WorkerEvent::Kind::kReconnect, rank, reconnectDetail);
     }
   }
@@ -564,13 +571,11 @@ void TcpTransport::monitorTick() {
   }
   const auto now = std::chrono::steady_clock::now();
 
-  // Pass 1, REMOTE-SAFE liveness only: a connection silent past the miss
-  // limit is presumed half-open and poisoned — no SIGKILL, no waitpid; if
-  // the worker is actually alive it notices the EOF and re-dials. The one
-  // local-child concession: spawn-mode pids are reaped opportunistically
-  // (avoiding zombies and letting the grace window short-circuit — a
-  // reaped child can never re-dial), strictly guarded on pid > 0 so
-  // external-worker slots never touch process APIs.
+  // Pass 1: a connection silent past the miss limit is presumed half-open
+  // and poisoned; if the worker is actually alive it notices the EOF and
+  // re-dials. Spawn-mode children are reaped here too (a reaped child can
+  // never re-dial, which short-circuits its grace window), strictly guarded
+  // on pid > 0 so external-worker slots never touch process APIs.
   const auto silenceLimit = std::chrono::milliseconds(
       options_.heartbeatMs *
       static_cast<std::uint64_t>(options_.heartbeatMissLimit));
@@ -611,60 +616,83 @@ void TcpTransport::monitorTick() {
     }
   }
 
-  // Pass 3: classify flagged deaths and expired grace windows. A fresh
-  // death opens the reconnect window (unless we are quiescing, the rank is
-  // forsaken, its local child is known gone, or grace is disabled); a
-  // window that outlives reconnectGraceMs becomes permanent loss.
+  // Pass 3: classify flagged deaths and closed windows. A fresh death opens
+  // the reconnect window unless we are quiescing, the rank is forsaken, its
+  // local child is known gone, or grace is disabled. A window that closes
+  // (child reaped, or no re-dial within the grace) respawns the child while
+  // the rank's budget lasts and is permanent loss otherwise.
   struct Closed {
-    int rank;
-    bool permanent;
     int fd;            // dead connection's descriptor, detached under lock
     std::thread pump;  // dead connection's reader, moved out under the lock
   };
+  struct Respawn {
+    int rank;
+    pid_t stalePid;  // a live but silent child to SIGKILL first, or -1
+    std::string detail;
+  };
   std::vector<Closed> closed;
+  std::vector<Respawn> respawns;
+  bool lost = false;
   {
     std::lock_guard<std::mutex> lock(stateMutex_);
+    const bool silent = quiesced_.load();
     for (int rank = 1; rank < options_.rankCount; ++rank) {
       Slot& s = slot(rank);
+      std::string ended;  // non-empty: no re-dial will come for this slot
       if (s.deadPending) {
         s.deadPending = false;
-        const bool silent = quiesced_.load() || s.forsaken;
-        const bool hopeless =
-            silent || s.processGone || options_.reconnectGraceMs == 0;
-        if (hopeless) {
-          s.permanentlyDead = true;
-          if (!silent) {
-            noteEvent(WorkerEvent::Kind::kPermanentDeath, rank,
-                      s.lastDeathDetail);
-          }
-        } else {
-          s.reconnecting = true;
-          s.disconnectAt = now;
-        }
         // Detach the dead connection's fd and pump handle under the lock:
         // once deadPending clears, the accept thread may re-admit this
         // slot and install a fresh connection, which the close/join below
         // must never touch.
-        int oldFd = -1;
         {
           std::lock_guard<std::mutex> writeLock(s.writeMutex);
-          oldFd = s.fd;
+          closed.push_back({s.fd, std::move(pumps_[static_cast<std::size_t>(
+                                      rank)])});
           s.fd = -1;
         }
-        closed.push_back({rank, hopeless, oldFd,
-                          std::move(pumps_[static_cast<std::size_t>(rank)])});
+        if (silent || s.forsaken) {
+          s.permanentlyDead = true;
+          lost = true;
+          continue;
+        }
+        if (s.processGone || options_.reconnectGraceMs == 0) {
+          ended = s.lastDeathDetail;
+        } else {
+          s.reconnecting = true;
+          s.disconnectAt = now;
+        }
+      } else if (s.reconnecting) {
+        const auto window = std::chrono::milliseconds(
+            s.respawning ? std::max(options_.reconnectGraceMs,
+                                    options_.connectTimeoutMs)
+                         : options_.reconnectGraceMs);
+        if (s.processGone) {
+          ended = s.lastDeathDetail;
+        } else if (now - s.disconnectAt > window) {
+          ended = s.lastDeathDetail + "; reconnect grace expired";
+        }
+      }
+      if (ended.empty()) {
         continue;
       }
-      if (s.reconnecting &&
-          (s.processGone ||
-           now - s.disconnectAt >
-               std::chrono::milliseconds(options_.reconnectGraceMs))) {
-        s.reconnecting = false;
-        s.permanentlyDead = true;
-        noteEvent(WorkerEvent::Kind::kPermanentDeath, rank,
-                  s.lastDeathDetail + "; reconnect grace expired");
-        rootQueue_.notifyAll();  // recvFor waiters re-check permanent death
+      s.reconnecting = false;
+      if (options_.spawnWorkers && !silent && !s.forsaken &&
+          s.respawns < options_.maxRespawns) {
+        // Respawn arm: state first, so the replacement's hello (which can
+        // race the spawn below) finds a slot waiting for it.
+        s.respawns += 1;
+        s.respawning = true;
+        s.reconnecting = true;
+        s.disconnectAt = now;
+        s.processGone = false;
+        respawns.push_back({rank, s.pid, std::move(ended)});
+        s.pid = -1;
+        continue;
       }
+      s.permanentlyDead = true;
+      lost = true;
+      noteEvent(WorkerEvent::Kind::kPermanentDeath, rank, ended);
     }
   }
 
@@ -677,9 +705,29 @@ void TcpTransport::monitorTick() {
     if (entry.fd >= 0) {
       ::close(entry.fd);
     }
-    if (entry.permanent) {
-      rootQueue_.notifyAll();
+  }
+  for (Respawn& respawn : respawns) {
+    if (respawn.stalePid > 0) {
+      ::kill(respawn.stalePid, SIGKILL);  // silent past its grace: hung
+      ::waitpid(respawn.stalePid, nullptr, 0);
     }
+    try {
+      spawnWorker(respawn.rank);
+      std::lock_guard<std::mutex> lock(stateMutex_);
+      noteEvent(WorkerEvent::Kind::kRespawn, respawn.rank,
+                std::move(respawn.detail));
+    } catch (const std::exception& error) {
+      std::lock_guard<std::mutex> lock(stateMutex_);
+      Slot& s = slot(respawn.rank);
+      s.reconnecting = false;
+      s.permanentlyDead = true;
+      lost = true;
+      noteEvent(WorkerEvent::Kind::kPermanentDeath, respawn.rank,
+                respawn.detail + "; respawn failed: " + error.what());
+    }
+  }
+  if (lost) {
+    rootQueue_.notifyAll();  // recvFor waiters re-check permanent death
   }
 }
 
@@ -865,7 +913,8 @@ TcpWorkerLink::TcpWorkerLink()
     : rank_(envIntRequired(kWorkerRankEnv)),
       rankCount_(envIntRequired(kWorkerRankCountEnv)),
       connectTimeoutMs_(envU64Or(kWorkerConnectTimeoutEnv, 5000)),
-      connectRetries_(envIntOr(kWorkerConnectRetriesEnv, 5)) {
+      connectRetries_(envIntOr(kWorkerConnectRetriesEnv, 5)),
+      epoch_(envU64Or(kWorkerEpochEnv, 0)) {
   const char* spec = std::getenv(kWorkerTcpEnv);
   CHISIM_CHECK(spec != nullptr,
                std::string("missing worker bootstrap variable ") +
@@ -945,7 +994,8 @@ TcpWorkerLink::Dialed TcpWorkerLink::dialAndHello(std::uint64_t claimedEpoch) {
 
 TcpWorkerLink::Hello TcpWorkerLink::handshake() {
   CHISIM_REQUIRE(!pump_.joinable(), "handshake already performed");
-  Dialed dialed = dialAndHello(/*claimedEpoch=*/0);
+  // 0 on a first boot; a respawned child claims its slot's current epoch.
+  Dialed dialed = dialAndHello(epoch_);
   fd_ = dialed.fd;
   epoch_ = dialed.epoch;
   Hello hello;

@@ -19,17 +19,18 @@
 #include "chisimnet/runtime/heartbeat.hpp"
 #include "chisimnet/runtime/wire.hpp"
 
-/// Multi-host TCP transport.
+/// Multi-process TCP transport.
 ///
-/// Rank 0 listens; the N-1 workers dial in over TCP and speak the same
-/// CSF1 framing as the socketpair process transport (runtime/wire.hpp),
+/// The paper's synthesis runs on real MPI processes; this transport is the
+/// corresponding process boundary for chisimnet. Rank 0 listens; the N-1
+/// workers dial in over TCP and speak the CSF1 framing of runtime/wire.hpp,
 /// with TCP_NODELAY + keepalive on every connection. Workers are launched
 /// three ways:
 ///
-///   - loopback CI mode (default): the root fork/execs local worker
-///     processes pointed at its own 127.0.0.1 ephemeral port — same
-///     machine, but separate processes, separate filesystems-as-far-as-
-///     the-protocol-knows, real TCP;
+///   - loopback mode (default): the root fork/execs local worker processes
+///     (re-entering this binary via a hidden `--worker` mode driven by
+///     environment variables) pointed at its own 127.0.0.1 ephemeral port:
+///     same machine, separate processes, real TCP;
 ///   - a job file of per-rank `host:port` connect targets (the CLI turns
 ///     spawning off and waits for workers launched out-of-band against
 ///     those addresses; with spawnWorkers the transport can instead fork
@@ -37,37 +38,46 @@
 ///   - externally: `chisim worker --connect host:port --rank N` on any
 ///     machine, with the root started under `--tcp-listen host:port`.
 ///
-/// ## Handshake (direction reversed vs the process transport)
+/// ## Handshake
 ///
 /// The WORKER sends the hello: kind=hello, tag=rank, payload=[claimed
-/// epoch u64] — 0 on the first dial, the last granted epoch on a re-dial.
-/// The root validates (rank in range, slot not live, claimed epoch matches
-/// the slot's — a stale-epoch zombie or a double-connect is refused by
-/// closing the socket) and answers kind=hello-ack, tag=granted epoch,
+/// epoch u64] (0 on the first dial, the last granted epoch on a re-dial,
+/// the slot's current epoch for a respawned child). The root validates
+/// (rank in range, slot not live, claimed epoch matches the slot's: a
+/// stale-epoch zombie or a double-connect is refused by closing the
+/// socket) and answers kind=hello-ack, tag=granted epoch,
 /// payload=application hello bytes (serialized stage parameters). Because
 /// TCP preserves per-connection order, the worker holds the parameters
 /// before any command can arrive.
 ///
-/// ## Liveness: the remote slot machine
+/// ## Liveness: the slot machine
 ///
-/// There is no respawn over TCP — the root cannot re-exec a remote
-/// process. Instead, each slot moves through:
+/// Each slot moves through:
 ///
 ///   connecting -> live -> disconnected -> reconnecting -+-> live
+///                                                       +-> respawning
 ///                                                       +-> permanently
 ///                                                           dead
 ///
-/// Death signals are REMOTE-SAFE only: socket EOF / torn frame in the
-/// pump, and ping silence (heartbeatMissLimit * heartbeatMs without any
-/// frame), which poisons the connection — never waitpid, never SIGKILL
-/// (local-child assumptions; loopback-spawned children are the one
-/// exception, reaped opportunistically and killed only at destruction). A
-/// worker that re-dials within reconnectGraceMs replays the hello with its
-/// last epoch, gets a bumped one, and resumes: the driver's per-command
-/// timeout/retry re-sends anything lost mid-flight, which the epoch-
-/// stamped reply protocol already tolerates. A worker that stays away past
-/// the grace window is declared permanently dead and recvFor() on it fails
-/// fast, so the driver converges to markLost + reassignment.
+/// Death signals are socket EOF / torn frame in the pump, and ping silence
+/// (heartbeatMissLimit * heartbeatMs without any frame), which poisons the
+/// connection. A worker that re-dials within reconnectGraceMs replays the
+/// hello with its last epoch, gets a bumped one, and resumes: the driver's
+/// per-command timeout/retry re-sends anything lost mid-flight, which the
+/// epoch-stamped reply protocol already tolerates.
+///
+/// The respawn arm applies to loopback children only (spawn mode); the
+/// root cannot re-exec an external worker. A child reaped by waitpid
+/// cannot re-dial, and a live child still silent when the grace window
+/// closes is SIGKILLed. Either way, while the rank has spawned fewer than
+/// maxRespawns replacements, a fresh child is exec'd for it. It carries
+/// the slot's current epoch in its environment, so its first hello passes
+/// the epoch check like a re-dial. The replacement gets
+/// max(reconnectGraceMs, connectTimeoutMs) to dial in. Nothing is respawned
+/// once the transport is quiesced or the rank forsaken. A slot with no
+/// respawn left (or an external slot) whose window closes is declared
+/// permanently dead, and recvFor() on it fails fast, so the driver
+/// converges to markLost + reassignment.
 ///
 /// ## Fault sites
 ///
@@ -75,7 +85,7 @@
 ///   tcp.connect   worker, per dial attempt              kThrow fails it
 ///   tcp.delay     root send path, per frame             kDelay stalls
 ///   tcp.drop      root send path, per frame             kKillRank drops
-///                 the connection (the live worker re-dials — the
+///                 the connection (the live worker re-dials: the
 ///                 reconnect path); kTruncate tears the frame (the worker
 ///                 poisons its read side and re-dials)
 ///
@@ -84,9 +94,12 @@
 
 namespace chisimnet::runtime {
 
-/// Environment variables that carry the TCP worker bootstrap across exec
-/// (rank / rank-count / fault-plan reuse the process transport's names).
+/// Environment variables that carry the worker bootstrap across exec.
 inline constexpr const char* kWorkerTcpEnv = "CHISIM_WORKER_TCP";
+inline constexpr const char* kWorkerRankEnv = "CHISIM_WORKER_RANK";
+inline constexpr const char* kWorkerRankCountEnv = "CHISIM_WORKER_RANKS";
+inline constexpr const char* kWorkerEpochEnv = "CHISIM_WORKER_EPOCH";
+inline constexpr const char* kWorkerFaultPlanEnv = "CHISIM_FAULT_PLAN";
 inline constexpr const char* kWorkerConnectTimeoutEnv =
     "CHISIM_WORKER_CONNECT_TIMEOUT_MS";
 inline constexpr const char* kWorkerConnectRetriesEnv =
@@ -121,6 +134,10 @@ struct TcpTransportOptions {
   /// A connection silent for heartbeatMissLimit * heartbeatMs is presumed
   /// half-open and poisoned (shutdown; the worker, if alive, re-dials).
   int heartbeatMissLimit = 8;
+
+  /// Spawn mode: times a rank's child may be re-exec'd after it dies (or
+  /// stays silent past the grace window). 0 disables respawn.
+  int maxRespawns = 1;
 
   /// Per-attempt connect/handshake timeout.
   std::uint64_t connectTimeoutMs = 5000;
@@ -186,8 +203,8 @@ class TcpTransport final : public Transport {
   void quiesce() noexcept override;
   void forsakeRank(int rank) override;
 
-  /// True once `rank` is past its reconnect grace (or forsaken) — the
-  /// driver should mark it lost.
+  /// True once `rank` is past its reconnect grace with no respawn left (or
+  /// forsaken): the driver should mark it lost.
   bool isPermanentlyDead(int rank) const;
 
   /// Spawn mode: current pid of the local worker backing `rank`, or -1
@@ -197,16 +214,12 @@ class TcpTransport final : public Transport {
   /// Worker lifecycle events since the last drain (for the driver's fault
   /// log / SynthesisReport counters).
   struct WorkerEvent {
-    enum class Kind { kReconnect, kPermanentDeath };
+    enum class Kind { kReconnect, kRespawn, kPermanentDeath };
     Kind kind = Kind::kReconnect;
     int rank = -1;
     std::string detail;
   };
   std::vector<WorkerEvent> drainEvents();
-
-  std::uint64_t reconnectCount() const {
-    return reconnects_.load(std::memory_order_relaxed);
-  }
 
  private:
   struct Slot {
@@ -221,12 +234,16 @@ class TcpTransport final : public Transport {
     bool permanentlyDead = false;
     bool forsaken = false;
     bool processGone = false;  // spawn mode: child reaped; no re-dial can come
+    int respawns = 0;          // spawn mode: replacement children exec'd
+    bool respawning = false;   // a replacement is booting; its hello is
+                               // admitted as a respawn, not a reconnect
     std::string lastDeathDetail;
   };
 
   Slot& slot(int rank) const;
 
-  /// fork/exec one local worker pointed at `connectAddresses[rank-1]`.
+  /// fork/exec one local worker pointed at `connectAddresses[rank-1]`,
+  /// claiming the slot's current epoch in its first hello.
   void spawnWorker(int rank);
 
   /// Accept-loop thread body: accepts dials and re-dials for the life of
@@ -271,14 +288,12 @@ class TcpTransport final : public Transport {
   std::atomic<bool> aborted_{false};
   std::atomic<bool> quiesced_{false};
   std::atomic<bool> shuttingDown_{false};
-  std::atomic<std::uint64_t> reconnects_{0};
   std::thread acceptThread_;
   std::unique_ptr<PeriodicTask> monitor_;
 };
 
 /// Worker-process end of the TCP transport: dials the root, replays the
-/// hello on reconnect, and presents the same recv/send surface as
-/// ProcessWorkerLink so the synthesis worker loop is transport-agnostic.
+/// hello on reconnect, and serves the synthesis worker loop's recv/send.
 class TcpWorkerLink {
  public:
   /// True when this process was launched as a TCP transport worker

@@ -12,10 +12,9 @@
 
 /// CSF1 wire framing and shared stream-socket plumbing.
 ///
-/// One frame codec serves every transport that crosses a process boundary:
-/// the socketpair-based process transport (process_transport.hpp) and the
-/// TCP transport (tcp_transport.hpp) speak byte-identical frames, so a
-/// worker neither knows nor cares which socket kind carried its commands.
+/// The frame codec of the transport that crosses a process boundary (the
+/// TCP transport, tcp_transport.hpp): root and worker ends both read and
+/// write frames through it.
 ///
 /// ## Frame format (all integers little-endian, host order)
 ///
@@ -94,9 +93,9 @@ ReadFn deadlineReadFn(int fd, std::chrono::steady_clock::time_point deadline);
 /// poisoned); never throws.
 bool writeAllFd(int fd, std::span<const std::byte> bytes) noexcept;
 
-/// One place for stream-socket setup shared by the socketpair and TCP
-/// paths: CLOEXEC always (a transport fd must never leak across an exec
-/// into a later-spawned sibling), and for TCP sockets TCP_NODELAY (the
+/// One place for stream-socket setup: CLOEXEC always (a transport fd must
+/// never leak across an exec into a later-spawned sibling), and for
+/// connection sockets (`tcp`; false for the listen socket) TCP_NODELAY (the
 /// protocol is request/reply over small frames; Nagle only adds latency)
 /// plus SO_KEEPALIVE (a dead peer on a quiet connection is eventually
 /// surfaced as an error even without application pings). Write errors from

@@ -7,6 +7,7 @@
 #include "chisimnet/elog/event_logger.hpp"
 #include "chisimnet/elog/log_directory.hpp"
 #include "chisimnet/util/rng.hpp"
+#include "scratch_dir.hpp"
 
 namespace chisimnet::elog {
 namespace {
@@ -15,22 +16,12 @@ using table::Event;
 
 class ElogTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("chisimnet_elog_" +
-            std::to_string(::testing::UnitTest::GetInstance()
-                               ->current_test_info()
-                               ->line()));
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-
   std::filesystem::path file(const std::string& name) const {
     return dir_ / name;
   }
 
-  std::filesystem::path dir_;
+  testutil::ScratchDir scratch_;
+  const std::filesystem::path dir_ = scratch_.path();
 };
 
 std::vector<Event> randomEvents(std::uint64_t seed, std::size_t count,

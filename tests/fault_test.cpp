@@ -21,6 +21,7 @@
 #include "chisimnet/runtime/thread_pool.hpp"
 #include "chisimnet/sparse/spill.hpp"
 #include "chisimnet/util/rng.hpp"
+#include "scratch_dir.hpp"
 
 /// Fault-tolerance suite: the deterministic injection framework itself,
 /// the hardened comm layer, CLG5 decode-error context, input quarantine,
@@ -96,22 +97,7 @@ std::vector<std::filesystem::path> writePlacePartitionedFiles(
   return files;
 }
 
-class ScratchDir {
- public:
-  explicit ScratchDir(const std::string& name)
-      : dir_(std::filesystem::temp_directory_path() / name) {
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
-  }
-  ~ScratchDir() {
-    std::error_code ignored;
-    std::filesystem::remove_all(dir_, ignored);
-  }
-  const std::filesystem::path& path() const { return dir_; }
-
- private:
-  std::filesystem::path dir_;
-};
+using testutil::ScratchDir;
 
 void expectEqualAdjacency(const sparse::SymmetricAdjacency& got,
                           const sparse::SymmetricAdjacency& want,
@@ -293,7 +279,7 @@ TEST(CommHardeningTest, RankTeamHealthBookkeeping) {
 // ---- CLG5 decode errors carry file/chunk/offset context ----
 
 TEST(Clg5ErrorTest, HeaderFailureNamesFileAndOffset) {
-  ScratchDir scratch("chisimnet_fault_clg5_header");
+  ScratchDir scratch("fault_clg5_header");
   const auto path = scratch.path() / "garbage.clg5";
   {
     std::ofstream out(path, std::ios::binary);
@@ -314,7 +300,7 @@ TEST(Clg5ErrorTest, HeaderFailureNamesFileAndOffset) {
 
 TEST(Clg5ErrorTest, ChunkFailureNamesChunkAndFirstRecord) {
   const FuzzCase fuzz = makeCase(12);
-  ScratchDir scratch("chisimnet_fault_clg5_chunk");
+  ScratchDir scratch("fault_clg5_chunk");
   const auto files =
       writePlacePartitionedFiles(fuzz.events, scratch.path(), 1);
   std::uint64_t chunkOffset = 0;
@@ -356,7 +342,7 @@ TEST(Clg5ErrorTest, ChunkFailureNamesChunkAndFirstRecord) {
 
 TEST(QuarantineTest, SerialAndParallelLoadersAgreeWithSurvivors) {
   const FuzzCase fuzz = makeCase(31);
-  ScratchDir scratch("chisimnet_fault_quarantine");
+  ScratchDir scratch("fault_quarantine");
   auto files = writePlacePartitionedFiles(fuzz.events, scratch.path(), 4);
   truncateFile(files[2]);
 
@@ -386,7 +372,7 @@ TEST(QuarantineTest, SerialAndParallelLoadersAgreeWithSurvivors) {
 
 TEST(QuarantineTest, PrefetchLoaderReportsQuarantinePerBatch) {
   const FuzzCase fuzz = makeCase(45);
-  ScratchDir scratch("chisimnet_fault_prefetch_quarantine");
+  ScratchDir scratch("fault_prefetch_quarantine");
   auto files = writePlacePartitionedFiles(fuzz.events, scratch.path(), 3);
   truncateFile(files[1]);
 
@@ -414,7 +400,7 @@ TEST(QuarantineTest, PrefetchLoaderReportsQuarantinePerBatch) {
 
 TEST(PrefetchDestructorTest, DestroyWithBufferedDecodeErrorDoesNotHang) {
   const FuzzCase fuzz = makeCase(52);
-  ScratchDir scratch("chisimnet_fault_prefetch_dtor_err");
+  ScratchDir scratch("fault_prefetch_dtor_err");
   auto files = writePlacePartitionedFiles(fuzz.events, scratch.path(), 3);
   truncateFile(files[0]);
   elog::PrefetchingLoader::Options options;
@@ -431,7 +417,7 @@ TEST(PrefetchDestructorTest, DestroyWithBufferedDecodeErrorDoesNotHang) {
 
 TEST(PrefetchDestructorTest, DestroyWhileWorkersAreMidDecodeDoesNotHang) {
   const FuzzCase fuzz = makeCase(53);
-  ScratchDir scratch("chisimnet_fault_prefetch_dtor_busy");
+  ScratchDir scratch("fault_prefetch_dtor_busy");
   const auto files =
       writePlacePartitionedFiles(fuzz.events, scratch.path(), 4);
   FaultPlan plan;
@@ -455,7 +441,7 @@ TEST(PrefetchDestructorTest, DestroyWhileWorkersAreMidDecodeDoesNotHang) {
 
 TEST(SynthesisDegradeTest, QuarantinedFileIsExcludedAndReported) {
   const FuzzCase fuzz = makeCase(61);
-  ScratchDir scratch("chisimnet_fault_degrade");
+  ScratchDir scratch("fault_degrade");
   auto files = writePlacePartitionedFiles(fuzz.events, scratch.path(), 4);
   truncateFile(files[1]);
   std::vector<std::filesystem::path> survivors = files;
@@ -492,7 +478,7 @@ TEST(SynthesisDegradeTest, QuarantinedFileIsExcludedAndReported) {
 
 TEST(SynthesisDegradeTest, QuarantineLimitAbortsTheRun) {
   const FuzzCase fuzz = makeCase(62);
-  ScratchDir scratch("chisimnet_fault_degrade_limit");
+  ScratchDir scratch("fault_degrade_limit");
   auto files = writePlacePartitionedFiles(fuzz.events, scratch.path(), 4);
   truncateFile(files[0]);
   truncateFile(files[2]);
@@ -607,7 +593,7 @@ TEST(RankLossTest, PermanentRankLossCompletesOnSurvivors) {
   const FuzzCase fuzz = makeCase(74);
   const auto reference =
       bruteForceAdjacency(fuzz.events, fuzz.windowStart, fuzz.windowEnd);
-  ScratchDir scratch("chisimnet_fault_rank_loss");
+  ScratchDir scratch("fault_rank_loss");
   const auto files =
       writePlacePartitionedFiles(fuzz.events, scratch.path(), 4);
 
@@ -653,7 +639,7 @@ TEST(RankLossTest, PermanentRankLossCompletesOnSurvivors) {
 // ---- batch checkpoint / resume ----
 
 TEST(CheckpointTest, ManifestRoundTrips) {
-  ScratchDir scratch("chisimnet_fault_manifest");
+  ScratchDir scratch("fault_manifest");
   sparse::SymmetricAdjacency adjacency(64);
   adjacency.add(1, 2, 3);
   adjacency.add(0, 5, 7);
@@ -693,7 +679,7 @@ TEST(CheckpointTest, ManifestRoundTrips) {
 }
 
 TEST(CheckpointTest, MissingCheckpointIsNullopt) {
-  ScratchDir scratch("chisimnet_fault_no_manifest");
+  ScratchDir scratch("fault_no_manifest");
   EXPECT_FALSE(loadCheckpointManifest(scratch.path()).has_value());
 }
 
@@ -702,14 +688,14 @@ TEST(CheckpointTest, MissingCheckpointIsNullopt) {
 /// backends.
 TEST(CheckpointTest, KillAndResumeIsBitIdentical) {
   const FuzzCase fuzz = makeCase(81);
-  ScratchDir scratch("chisimnet_fault_resume");
+  ScratchDir scratch("fault_resume");
   const auto files =
       writePlacePartitionedFiles(fuzz.events, scratch.path(), 6);
 
   for (const SynthesisBackend backend :
        {SynthesisBackend::kSharedMemory, SynthesisBackend::kMessagePassing}) {
     const std::string label = backendName(backend);
-    ScratchDir checkpoints("chisimnet_fault_resume_ckpt_" + label);
+    ScratchDir checkpoints("fault_resume_ckpt_" + label);
 
     SynthesisConfig config;
     config.windowStart = fuzz.windowStart;
@@ -756,10 +742,10 @@ TEST(CheckpointTest, KillAndResumeIsBitIdentical) {
 
 TEST(CheckpointTest, ResumeRejectsAMismatchedRun) {
   const FuzzCase fuzz = makeCase(82);
-  ScratchDir scratch("chisimnet_fault_resume_mismatch");
+  ScratchDir scratch("fault_resume_mismatch");
   const auto files =
       writePlacePartitionedFiles(fuzz.events, scratch.path(), 4);
-  ScratchDir checkpoints("chisimnet_fault_resume_mismatch_ckpt");
+  ScratchDir checkpoints("fault_resume_mismatch_ckpt");
 
   SynthesisConfig config;
   config.windowStart = fuzz.windowStart;
@@ -780,7 +766,7 @@ TEST(CheckpointTest, ResumeRejectsAMismatchedRun) {
   // Resume against an empty directory: also a hard error, not a silent
   // from-scratch run.
   config.windowEnd -= 1;
-  ScratchDir empty("chisimnet_fault_resume_empty_ckpt");
+  ScratchDir empty("fault_resume_empty_ckpt");
   config.checkpointDir = empty.path();
   NetworkSynthesizer missing(config);
   EXPECT_THROW(missing.synthesizeAdjacency(files), std::runtime_error);
@@ -789,7 +775,7 @@ TEST(CheckpointTest, ResumeRejectsAMismatchedRun) {
 // ---- memory-bounded (spill-mode) checkpointing ----
 
 TEST(CheckpointTest, SpillManifestRoundTrips) {
-  ScratchDir scratch("chisimnet_fault_spill_manifest");
+  ScratchDir scratch("fault_spill_manifest");
   const auto spillDir = scratch.path() / "spill";
   std::filesystem::create_directories(spillDir);
 
@@ -855,7 +841,7 @@ TEST(CheckpointTest, SpillManifestRoundTrips) {
 /// writer unwinds its .tmp) while batch 1's manifest still resolves.
 TEST(CheckpointTest, KillDuringSpillResumesBitIdentical) {
   const FuzzCase fuzz = makeCase(83);
-  ScratchDir scratch("chisimnet_fault_spill_resume");
+  ScratchDir scratch("fault_spill_resume");
   const auto files =
       writePlacePartitionedFiles(fuzz.events, scratch.path(), 6);
   const auto reference =
@@ -864,7 +850,7 @@ TEST(CheckpointTest, KillDuringSpillResumesBitIdentical) {
   for (const SynthesisBackend backend :
        {SynthesisBackend::kSharedMemory, SynthesisBackend::kMessagePassing}) {
     const std::string label = std::string(backendName(backend));
-    ScratchDir checkpoints("chisimnet_fault_spill_resume_ckpt_" + label);
+    ScratchDir checkpoints("fault_spill_resume_ckpt_" + label);
 
     SynthesisConfig config;
     config.windowStart = fuzz.windowStart;
@@ -913,7 +899,7 @@ TEST(CheckpointTest, KillDuringSpillResumesBitIdentical) {
 /// still on disk, and an accumulator rebuilt over those runs — the resume
 /// path's restoreRunFile — merges to exactly the pre-crash totals.
 TEST(SpillFaultTest, KillDuringCompactionLeavesRunsRestorable) {
-  ScratchDir scratch("chisimnet_fault_spill_merge");
+  ScratchDir scratch("fault_spill_merge");
   util::Rng rng(7);
   sparse::SymmetricAdjacency expected(64);
 
@@ -989,7 +975,7 @@ TEST(PayloadCapTest, OversizedStageFiveReplySpillsInsteadOfAborting) {
   const auto reference = bruteForceAdjacency(events, 0, 8);
   ASSERT_GT(reference.edgeCount() * 16, std::uint64_t{16} * 1024);
 
-  ScratchDir scratch("chisimnet_fault_payload_cap");
+  ScratchDir scratch("fault_payload_cap");
   const auto files = writePlacePartitionedFiles(events, scratch.path(), 2);
 
   for (const std::uint64_t budget : {std::uint64_t{0}, std::uint64_t{1}}) {

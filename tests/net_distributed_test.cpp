@@ -10,6 +10,7 @@
 #include "chisimnet/net/synthesis.hpp"
 #include "chisimnet/sparse/collocation.hpp"
 #include "chisimnet/util/rng.hpp"
+#include "scratch_dir.hpp"
 
 /// Executor-abstraction tests: the message-passing backend must run the
 /// exact same stage driver as the shared-memory backend — same adjacency
@@ -24,16 +25,6 @@ using table::Event;
 
 class DistributedSynthesisTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("chisimnet_dist_" +
-            std::string(::testing::UnitTest::GetInstance()
-                            ->current_test_info()
-                            ->name()));
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
 
   /// When byPlace is set, events land in the file owning their place (as
   /// real per-rank logs do) so whole-file batching is exactly additive.
@@ -65,7 +56,8 @@ class DistributedSynthesisTest : public ::testing::Test {
     return paths;
   }
 
-  std::filesystem::path dir_;
+  testutil::ScratchDir scratch_;
+  const std::filesystem::path dir_ = scratch_.path();
 };
 
 TEST(CollocationSerialization, RoundTrip) {

@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
 
 #include "chisimnet/elog/clg5.hpp"
 #include "chisimnet/elog/log_directory.hpp"
+#include "chisimnet/net/checkpoint.hpp"
 #include "chisimnet/net/demography.hpp"
 #include "chisimnet/net/synthesis.hpp"
 #include "chisimnet/util/rng.hpp"
+#include "scratch_dir.hpp"
 
 namespace chisimnet::net {
 namespace {
@@ -369,6 +372,92 @@ TEST(Demography, WithinGroupNetworkDropsCrossGroupEdges) {
   EXPECT_EQ(within.edgeCount(), 1u);
   EXPECT_EQ(within.weight(child1, child2), 3u);
   EXPECT_EQ(within.weight(child1, senior), 0u);
+}
+
+// ---- in-flight batch checkpoint snapshot ----
+
+std::vector<Event> rowsOf(const table::EventTable& table) {
+  std::vector<Event> rows;
+  rows.reserve(table.size());
+  for (std::uint64_t row = 0; row < table.size(); ++row) {
+    rows.push_back(table.row(row));
+  }
+  return rows;
+}
+
+TEST(InflightCheckpointTest, SnapshotRoundTripsExactly) {
+  testutil::ScratchDir scratch;
+  const table::EventTable events = randomEvents(5, 150);
+
+  CheckpointManifest manifest;
+  manifest.filesConsumed = 2;
+  manifest.batchesDone = 1;
+  manifest.configHash = 0x1234;
+  sparse::SymmetricAdjacency adjacency(32);
+  adjacency.add(1, 2, 3);
+
+  InflightBatch inflight;
+  for (const Event& event : rowsOf(events)) {
+    inflight.events.append(event);
+  }
+  inflight.events.sortByStart();
+  inflight.filesInBatch = 2;
+  inflight.quarantined.push_back(elog::QuarantinedFile{
+      "/logs/rank_0005.clg5", 3, 512, "chunk crc mismatch"});
+  saveCheckpoint(scratch.path(), manifest, adjacency, &inflight);
+
+  const auto loaded = loadCheckpointManifest(scratch.path());
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_FALSE(loaded->inflightFile.empty());
+  const auto restored = loadCheckpointInflight(scratch.path(), *loaded);
+  ASSERT_TRUE(restored.has_value());
+  EXPECT_EQ(restored->filesInBatch, 2u);
+  EXPECT_EQ(rowsOf(restored->events), rowsOf(inflight.events));
+  EXPECT_EQ(restored->events.isSortedByStart(),
+            inflight.events.isSortedByStart());
+  ASSERT_EQ(restored->quarantined.size(), 1u);
+  EXPECT_EQ(restored->quarantined[0].file, "/logs/rank_0005.clg5");
+  EXPECT_EQ(restored->quarantined[0].chunkIndex, 3);
+  EXPECT_EQ(restored->quarantined[0].byteOffset, 512u);
+  EXPECT_EQ(restored->quarantined[0].reason, "chunk crc mismatch");
+
+  // A checkpoint written without a snapshot restores to nullopt.
+  saveCheckpoint(scratch.path(), manifest, adjacency);
+  const auto bare = loadCheckpointManifest(scratch.path());
+  ASSERT_TRUE(bare.has_value());
+  EXPECT_TRUE(bare->inflightFile.empty());
+  EXPECT_FALSE(loadCheckpointInflight(scratch.path(), *bare).has_value());
+}
+
+TEST(InflightCheckpointTest, CorruptSnapshotIsRejectedNotComputedOn) {
+  testutil::ScratchDir scratch;
+  const table::EventTable events = randomEvents(6, 150);
+  CheckpointManifest manifest;
+  manifest.filesConsumed = 1;
+  sparse::SymmetricAdjacency adjacency(16);
+  InflightBatch inflight;
+  for (const Event& event : rowsOf(events)) {
+    inflight.events.append(event);
+  }
+  inflight.filesInBatch = 1;
+  saveCheckpoint(scratch.path(), manifest, adjacency, &inflight);
+  const auto loaded = loadCheckpointManifest(scratch.path());
+  ASSERT_TRUE(loaded.has_value());
+
+  // Flip one payload byte: the CRC must catch it.
+  const auto path = scratch.path() / loaded->inflightFile;
+  {
+    std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+    file.seekp(20);
+    char byte = 0;
+    file.seekg(20);
+    file.read(&byte, 1);
+    byte = static_cast<char>(byte ^ 0x40);
+    file.seekp(20);
+    file.write(&byte, 1);
+  }
+  EXPECT_THROW(loadCheckpointInflight(scratch.path(), *loaded),
+               std::exception);
 }
 
 }  // namespace

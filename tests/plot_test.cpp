@@ -5,17 +5,13 @@
 #include <sstream>
 
 #include "chisimnet/stats/plot.hpp"
+#include "scratch_dir.hpp"
 
 namespace chisimnet::stats {
 namespace {
 
 class PlotTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "chisimnet_plot";
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
 
   std::string slurp(const std::filesystem::path& path) const {
     std::ifstream in(path);
@@ -24,7 +20,8 @@ class PlotTest : public ::testing::Test {
     return buffer.str();
   }
 
-  std::filesystem::path dir_;
+  testutil::ScratchDir scratch_;
+  const std::filesystem::path dir_ = scratch_.path();
 };
 
 TEST_F(PlotTest, ScatterRendersPointsLinesAndLegend) {

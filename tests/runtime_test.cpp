@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstring>
 #include <future>
 #include <map>
 #include <memory>
@@ -10,10 +12,13 @@
 #include <thread>
 #include <vector>
 
+#include "chisimnet/net/mp_protocol.hpp"
 #include "chisimnet/runtime/cluster.hpp"
 #include "chisimnet/runtime/comm.hpp"
+#include "chisimnet/runtime/heartbeat.hpp"
 #include "chisimnet/runtime/partition.hpp"
 #include "chisimnet/runtime/thread_pool.hpp"
+#include "chisimnet/runtime/wire.hpp"
 #include "chisimnet/util/rng.hpp"
 
 namespace chisimnet::runtime {
@@ -682,3 +687,185 @@ TEST(Cluster, BusyImbalanceIsAtLeastOne) {
 
 }  // namespace
 }  // namespace chisimnet::runtime
+
+// ---- wire frames, liveness primitives and the mp stage-parameter codec
+// (the pieces of the TCP transport that need no socket) ----
+
+namespace chisimnet::net {
+namespace {
+
+using runtime::wire::Frame;
+using runtime::wire::FrameKind;
+using runtime::wire::FrameReader;
+using runtime::wire::ReadFn;
+
+/// ReadFn over an in-memory byte stream that returns at most `chunk`
+/// bytes per call — the short reads a stream socket is allowed to give.
+ReadFn chunkedReadFn(std::vector<std::byte> data, std::size_t chunk) {
+  auto pos = std::make_shared<std::size_t>(0);
+  auto bytes = std::make_shared<std::vector<std::byte>>(std::move(data));
+  return [pos, bytes, chunk](std::byte* out, std::size_t capacity) {
+    if (*pos >= bytes->size()) {
+      return std::size_t{0};
+    }
+    const std::size_t n =
+        std::min({chunk, capacity, bytes->size() - *pos});
+    std::memcpy(out, bytes->data() + *pos, n);
+    *pos += n;
+    return n;
+  };
+}
+
+template <typename T>
+void appendScalar(std::vector<std::byte>& out, T value) {
+  const std::size_t at = out.size();
+  out.resize(at + sizeof(T));
+  std::memcpy(out.data() + at, &value, sizeof(T));
+}
+
+/// Hand-forged header for invalid-input cases encodeFrame cannot produce.
+std::vector<std::byte> forgeHeader(std::uint32_t magic, std::uint32_t kind,
+                                   std::int32_t tag, std::uint64_t length) {
+  std::vector<std::byte> out;
+  appendScalar(out, magic);
+  appendScalar(out, kind);
+  appendScalar(out, tag);
+  appendScalar(out, length);
+  return out;
+}
+
+TEST(WireFrameTest, FramesSurviveArbitrarySplitReads) {
+  // Zero-length, one-byte, and a payload far larger than any read chunk,
+  // back to back in one stream.
+  Frame empty{FrameKind::kData, 7, {}};
+  Frame tiny{FrameKind::kPong, -3, {std::byte{0xAB}}};
+  Frame big{FrameKind::kData, 42, {}};
+  big.payload.resize(1 << 20);
+  for (std::size_t i = 0; i < big.payload.size(); ++i) {
+    big.payload[i] = static_cast<std::byte>(i * 31 + 5);
+  }
+  std::vector<std::byte> stream;
+  for (const Frame* frame : {&empty, &tiny, &big}) {
+    const auto encoded = runtime::wire::encodeFrame(*frame);
+    stream.insert(stream.end(), encoded.begin(), encoded.end());
+  }
+
+  // Chunk sizes that split the header, the payload, and their boundary.
+  for (const std::size_t chunk : {std::size_t{1}, std::size_t{3},
+                                  std::size_t{19}, std::size_t{4096}}) {
+    FrameReader reader(chunkedReadFn(stream, chunk));
+    for (const Frame* want : {&empty, &tiny, &big}) {
+      const auto got = reader.next();
+      ASSERT_TRUE(got.has_value()) << "chunk " << chunk;
+      EXPECT_EQ(got->kind, want->kind) << "chunk " << chunk;
+      EXPECT_EQ(got->tag, want->tag) << "chunk " << chunk;
+      EXPECT_EQ(got->payload, want->payload) << "chunk " << chunk;
+    }
+    // Clean EOF exactly at a frame boundary: nullopt, not a throw.
+    EXPECT_FALSE(reader.next().has_value()) << "chunk " << chunk;
+  }
+}
+
+TEST(WireFrameTest, EofTearingAHeaderThrows) {
+  const auto encoded =
+      runtime::wire::encodeFrame(Frame{FrameKind::kPing, 0, {}});
+  for (const std::size_t keep : {std::size_t{1}, std::size_t{8},
+                                 runtime::wire::kFrameHeaderBytes - 1}) {
+    std::vector<std::byte> torn(encoded.begin(),
+                                encoded.begin() + static_cast<long>(keep));
+    FrameReader reader(chunkedReadFn(torn, 3));
+    EXPECT_THROW(reader.next(), std::exception) << "kept " << keep;
+  }
+}
+
+TEST(WireFrameTest, EofTearingAPayloadThrows) {
+  Frame frame{FrameKind::kData, 5, std::vector<std::byte>(64, std::byte{9})};
+  auto encoded = runtime::wire::encodeFrame(frame);
+  encoded.resize(encoded.size() - 10);  // header intact, payload short
+  FrameReader reader(chunkedReadFn(encoded, 7));
+  EXPECT_THROW(reader.next(), std::exception);
+}
+
+TEST(WireFrameTest, BadMagicAndUnknownKindAreRejected) {
+  {
+    FrameReader reader(chunkedReadFn(
+        forgeHeader(0xDEADBEEFu, 1, 0, 0), 4));
+    EXPECT_THROW(reader.next(), std::exception);
+  }
+  {
+    FrameReader reader(chunkedReadFn(
+        forgeHeader(runtime::wire::kFrameMagic, 99, 0, 0), 4));
+    EXPECT_THROW(reader.next(), std::exception);
+  }
+}
+
+TEST(WireFrameTest, OversizedLengthIsRejectedBeforeAllocation) {
+  // A hostile length header one past the cap must throw from the header
+  // check itself; were it used to size a buffer first, this would be a
+  // 1 GiB+ allocation.
+  const auto header = forgeHeader(runtime::wire::kFrameMagic, 1, 0,
+                                  runtime::kMaxPayloadBytes + 1);
+  FrameReader reader(chunkedReadFn(header, 5));
+  try {
+    reader.next();
+    FAIL() << "oversized length must not be accepted";
+  } catch (const std::exception& error) {
+    EXPECT_NE(std::string(error.what()).find("payload"), std::string::npos);
+  }
+}
+
+// ---- liveness primitives ----
+
+TEST(HeartbeatTest, BookTracksSilencePerPeer) {
+  runtime::HeartbeatBook book(3);
+  EXPECT_EQ(book.peerCount(), 3);
+  // Freshly constructed peers are not instantly overdue.
+  EXPECT_FALSE(book.overdue(0, std::chrono::milliseconds(250)));
+  std::this_thread::sleep_for(std::chrono::milliseconds(15));
+  EXPECT_TRUE(book.overdue(1, std::chrono::milliseconds(5)));
+  book.beat(1);
+  EXPECT_FALSE(book.overdue(1, std::chrono::milliseconds(5)));
+  // Beating one peer leaves the others' clocks alone.
+  EXPECT_TRUE(book.overdue(2, std::chrono::milliseconds(5)));
+  EXPECT_LT(book.age(1), book.age(2));
+}
+
+TEST(HeartbeatTest, PeriodicTaskTicksUntilStopped) {
+  std::atomic<int> ticks{0};
+  {
+    runtime::PeriodicTask task(std::chrono::milliseconds(10),
+                               [&ticks] { ++ticks; });
+    std::this_thread::sleep_for(std::chrono::milliseconds(80));
+    task.stop();
+    const int atStop = ticks.load();
+    EXPECT_GE(atStop, 2);
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    EXPECT_EQ(ticks.load(), atStop);  // no ticks after stop
+    task.stop();                      // idempotent
+  }
+  // Destructor after stop must not hang or double-join.
+}
+
+// ---- mp protocol codecs ----
+
+TEST(MpProtocolTest, StageParamsRoundTripThroughHelloPayload) {
+  mp::StageParams params;
+  params.windowStart = 17;
+  params.windowEnd = 193;
+  params.method = sparse::AdjacencyMethod::kSpGemm;
+  const auto bytes = mp::encodeStageParams(params);
+  const mp::StageParams back = mp::decodeStageParams(bytes);
+  EXPECT_EQ(back.windowStart, params.windowStart);
+  EXPECT_EQ(back.windowEnd, params.windowEnd);
+  EXPECT_EQ(back.method, params.method);
+
+  // Truncated and oversized payloads are both malformed.
+  std::vector<std::byte> shortBytes(bytes.begin(), bytes.end() - 1);
+  EXPECT_THROW(mp::decodeStageParams(shortBytes), std::exception);
+  std::vector<std::byte> longBytes(bytes);
+  longBytes.push_back(std::byte{0});
+  EXPECT_THROW(mp::decodeStageParams(longBytes), std::exception);
+}
+
+}  // namespace
+}  // namespace chisimnet::net

@@ -18,6 +18,7 @@
 #include "chisimnet/sparse/adjacency_io.hpp"
 #include "chisimnet/sparse/spill.hpp"
 #include "chisimnet/util/rng.hpp"
+#include "scratch_dir.hpp"
 
 /// Sharded external-merge suite: the shard merge plan (straddler splitting,
 /// empty and single-row shards, unknown-range runs), per-shard segment
@@ -31,22 +32,7 @@
 namespace chisimnet::sparse {
 namespace {
 
-class ScratchDir {
- public:
-  explicit ScratchDir(const std::string& name)
-      : dir_(std::filesystem::temp_directory_path() / name) {
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
-  }
-  ~ScratchDir() {
-    std::error_code ignored;
-    std::filesystem::remove_all(dir_, ignored);
-  }
-  const std::filesystem::path& path() const { return dir_; }
-
- private:
-  std::filesystem::path dir_;
-};
+using testutil::ScratchDir;
 
 /// A strictly key-ascending random run: distinct (i, j) pairs, sorted.
 std::vector<AdjacencyTriplet> makeRun(util::Rng& rng, std::size_t size,
@@ -132,7 +118,7 @@ std::vector<AdjacencyTriplet> mergePlanToTriplets(
 // ---- shard merge plan ----
 
 TEST(ShardMergePlanTest, StraddlingRunsAreSplitShardPure) {
-  ScratchDir scratch("chisimnet_shard_plan_straddle");
+  ScratchDir scratch("shard_plan_straddle");
   util::Rng rng(101);
   // Row space 64 over 4-row shards: runs from whole-space spills straddle
   // many shard boundaries. (64 persons cap out at C(64,2) = 2016 distinct
@@ -191,7 +177,7 @@ TEST(ShardMergePlanTest, StraddlingRunsAreSplitShardPure) {
 }
 
 TEST(ShardMergePlanTest, EmptyAndSingleRowShards) {
-  ScratchDir scratch("chisimnet_shard_plan_sparse_rows");
+  ScratchDir scratch("shard_plan_sparse_rows");
   SpillingAccumulator::Options options;
   options.dir = scratch.path();
   options.rowsPerShard = 1;  // every row its own shard
@@ -215,7 +201,7 @@ TEST(ShardMergePlanTest, EmptyAndSingleRowShards) {
 }
 
 TEST(ShardMergePlanTest, EmptyAccumulatorYieldsEmptyPlan) {
-  ScratchDir scratch("chisimnet_shard_plan_empty");
+  ScratchDir scratch("shard_plan_empty");
   SpillingAccumulator::Options options;
   options.dir = scratch.path();
   SpillingAccumulator accumulator(options);
@@ -223,7 +209,7 @@ TEST(ShardMergePlanTest, EmptyAccumulatorYieldsEmptyPlan) {
 }
 
 TEST(ShardMergePlanTest, UnknownRangeRunIsSplit) {
-  ScratchDir scratch("chisimnet_shard_plan_unknown_range");
+  ScratchDir scratch("shard_plan_unknown_range");
   util::Rng rng(103);
   // C(32,2) = 496 distinct pairs max; stay below so makeRun terminates.
   const std::vector<AdjacencyTriplet> run = makeRun(rng, 400, 32);
@@ -252,7 +238,7 @@ TEST(ShardMergePlanTest, UnknownRangeRunIsSplit) {
 // ---- segment concatenation vs the serial merge ----
 
 TEST(ShardMergeTest, SegmentsConcatenateByteIdenticalToSerialCadj) {
-  ScratchDir scratch("chisimnet_shard_concat");
+  ScratchDir scratch("shard_concat");
   util::Rng rng(107);
   // 96 persons allow C(96,2) = 4560 distinct pairs; stay below that.
   const std::vector<AdjacencyTriplet> adds = makeRun(rng, 3000, 96);
@@ -317,7 +303,7 @@ TEST(ShardMergeTest, SegmentsConcatenateByteIdenticalToSerialCadj) {
 }
 
 TEST(ShardMergeTest, ReadaheadReaderDetectsTruncation) {
-  ScratchDir scratch("chisimnet_shard_readahead_trunc");
+  ScratchDir scratch("shard_readahead_trunc");
   util::Rng rng(109);
   const std::vector<AdjacencyTriplet> run = makeRun(rng, 5000, 1u << 16);
   const std::filesystem::path path = scratch.path() / "run.0.spl";
@@ -343,7 +329,7 @@ TEST(ShardMergeTest, ReadaheadReaderDetectsTruncation) {
 // ---- fresh-start GC of orphaned .tmp run files ----
 
 TEST(SpillGcTest, FreshStartSweepsOrphanedTmpRuns) {
-  ScratchDir scratch("chisimnet_shard_tmp_sweep");
+  ScratchDir scratch("shard_tmp_sweep");
   // A SIGKILL during spill-write leaves a complete-but-unrenamed .tmp; a
   // fresh (non-checkpoint) accumulator over the same directory must sweep
   // it instead of letting husks accumulate across restarts.
@@ -383,6 +369,7 @@ using runtime::FaultPlan;
 using runtime::FaultSpec;
 using table::Event;
 using table::Hour;
+using testutil::ScratchDir;
 
 struct FuzzCase {
   table::EventTable events;
@@ -437,23 +424,6 @@ std::vector<std::filesystem::path> writePlacePartitionedFiles(
   return files;
 }
 
-class ScratchDir {
- public:
-  explicit ScratchDir(const std::string& name)
-      : dir_(std::filesystem::temp_directory_path() / name) {
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
-  }
-  ~ScratchDir() {
-    std::error_code ignored;
-    std::filesystem::remove_all(dir_, ignored);
-  }
-  const std::filesystem::path& path() const { return dir_; }
-
- private:
-  std::filesystem::path dir_;
-};
-
 std::string fileBytes(const std::filesystem::path& path) {
   std::ifstream in(path, std::ios::binary);
   return std::string(std::istreambuf_iterator<char>(in),
@@ -467,7 +437,7 @@ std::string fileBytes(const std::filesystem::path& path) {
 /// saveAdjacency of the unbudgeted dense result.
 TEST(ShardedSynthesisTest, ByteIdenticalAcrossShardCountsAndBackends) {
   const FuzzCase fuzz = makeCase(301);
-  ScratchDir scratch("chisimnet_shard_synth_identity");
+  ScratchDir scratch("shard_synth_identity");
   const auto files =
       writePlacePartitionedFiles(fuzz.events, scratch.path(), 4);
 
@@ -494,7 +464,7 @@ TEST(ShardedSynthesisTest, ByteIdenticalAcrossShardCountsAndBackends) {
                                 " shards " + std::to_string(reduceShards);
       config.backend = backend;
       config.reduceShards = reduceShards;
-      ScratchDir spill("chisimnet_shard_synth_identity_spill_" +
+      ScratchDir spill("shard_synth_identity_spill_" +
                        std::to_string(variant));
       config.spillDir = spill.path();
       const std::filesystem::path out =
@@ -516,7 +486,7 @@ TEST(ShardedSynthesisTest, ByteIdenticalAcrossShardCountsAndBackends) {
 // ---- checkpoint manifest: key ranges + merge segments ----
 
 TEST(ShardedCheckpointTest, ManifestRoundTripsRangesAndMergeSegments) {
-  ScratchDir scratch("chisimnet_shard_manifest");
+  ScratchDir scratch("shard_manifest");
   const auto spillDir = scratch.path() / "spill";
   std::filesystem::create_directories(spillDir);
   sparse::SpillRunInfo run;
@@ -574,10 +544,10 @@ TEST(ShardedCheckpointTest, ManifestRoundTripsRangesAndMergeSegments) {
 /// unfinished shards were re-merged — the checkpointed segments splice in.
 TEST(ShardedSynthesisTest, KillDuringMergeResumesOnlyUnfinishedShards) {
   const FuzzCase fuzz = makeCase(303);
-  ScratchDir scratch("chisimnet_shard_kill_merge");
+  ScratchDir scratch("shard_kill_merge");
   const auto files =
       writePlacePartitionedFiles(fuzz.events, scratch.path(), 4);
-  ScratchDir checkpoints("chisimnet_shard_kill_merge_ckpt");
+  ScratchDir checkpoints("shard_kill_merge_ckpt");
 
   SynthesisConfig config;
   config.windowStart = fuzz.windowStart;
@@ -654,7 +624,7 @@ TEST(ShardedSynthesisTest, KillDuringMergeResumesOnlyUnfinishedShards) {
 /// outside the config hash, so the cross-mode switch is legal.
 TEST(ShardedSynthesisTest, CrossModeResumeUnderShardedMerge) {
   const FuzzCase fuzz = makeCase(307);
-  ScratchDir scratch("chisimnet_shard_cross_mode");
+  ScratchDir scratch("shard_cross_mode");
   const auto files =
       writePlacePartitionedFiles(fuzz.events, scratch.path(), 6);
 
@@ -674,7 +644,7 @@ TEST(ShardedSynthesisTest, CrossModeResumeUnderShardedMerge) {
 
   // dense checkpoint -> sharded budgeted resume.
   {
-    ScratchDir checkpoints("chisimnet_shard_cross_mode_d2s");
+    ScratchDir checkpoints("shard_cross_mode_d2s");
     SynthesisConfig config = base;
     config.checkpointDir = checkpoints.path();
     {
@@ -699,7 +669,7 @@ TEST(ShardedSynthesisTest, CrossModeResumeUnderShardedMerge) {
   // sharded spill checkpoint -> dense resume (the 6-field manifest entries
   // must parse and fold into the dense map).
   {
-    ScratchDir checkpoints("chisimnet_shard_cross_mode_s2d");
+    ScratchDir checkpoints("shard_cross_mode_s2d");
     SynthesisConfig config = base;
     config.checkpointDir = checkpoints.path();
     config.memoryBudgetBytes = std::uint64_t{32} << 20;

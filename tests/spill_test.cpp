@@ -12,6 +12,7 @@
 #include "chisimnet/sparse/adjacency.hpp"
 #include "chisimnet/sparse/spill.hpp"
 #include "chisimnet/util/rng.hpp"
+#include "scratch_dir.hpp"
 
 /// Disk-spilling accumulation suite: the k-way loser-tree merge against a
 /// brute-force sum, the CSPL1 run container (round trip, truncation and
@@ -23,22 +24,7 @@
 namespace chisimnet::sparse {
 namespace {
 
-class ScratchDir {
- public:
-  explicit ScratchDir(const std::string& name)
-      : dir_(std::filesystem::temp_directory_path() / name) {
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
-  }
-  ~ScratchDir() {
-    std::error_code ignored;
-    std::filesystem::remove_all(dir_, ignored);
-  }
-  const std::filesystem::path& path() const { return dir_; }
-
- private:
-  std::filesystem::path dir_;
-};
+using testutil::ScratchDir;
 
 /// A strictly key-ascending random run: distinct (i, j) pairs, sorted.
 std::vector<AdjacencyTriplet> makeRun(util::Rng& rng, std::size_t size,
@@ -157,7 +143,7 @@ TEST(TripletMergerTest, RejectsMisorderedSource) {
 // ---- CSPL1 run container ----
 
 TEST(SpillRunTest, RoundTripsAcrossFrameBoundaries) {
-  ScratchDir scratch("chisimnet_spill_roundtrip");
+  ScratchDir scratch("spill_roundtrip");
   util::Rng rng(23);
   // > one frame (64 Ki rows) so the reader crosses a frame boundary.
   const std::vector<AdjacencyTriplet> run =
@@ -178,7 +164,7 @@ TEST(SpillRunTest, RoundTripsAcrossFrameBoundaries) {
 }
 
 TEST(SpillRunTest, EmptyRunRoundTrips) {
-  ScratchDir scratch("chisimnet_spill_empty");
+  ScratchDir scratch("spill_empty");
   const std::filesystem::path path = scratch.path() / "run.0.spl";
   SpillRunWriter writer(path);
   const SpillRunInfo info = writer.finish();
@@ -188,7 +174,7 @@ TEST(SpillRunTest, EmptyRunRoundTrips) {
 }
 
 TEST(SpillRunTest, WriterRejectsMisorderedAppend) {
-  ScratchDir scratch("chisimnet_spill_misordered");
+  ScratchDir scratch("spill_misordered");
   SpillRunWriter writer(scratch.path() / "run.0.spl");
   writer.append(AdjacencyTriplet{4, 8, 1});
   EXPECT_THROW(writer.append(AdjacencyTriplet{1, 2, 1}), std::runtime_error);
@@ -197,7 +183,7 @@ TEST(SpillRunTest, WriterRejectsMisorderedAppend) {
 }
 
 TEST(SpillRunTest, AbandonedWriterLeavesNoFile) {
-  ScratchDir scratch("chisimnet_spill_abandoned");
+  ScratchDir scratch("spill_abandoned");
   const std::filesystem::path path = scratch.path() / "run.0.spl";
   {
     SpillRunWriter writer(path);
@@ -209,7 +195,7 @@ TEST(SpillRunTest, AbandonedWriterLeavesNoFile) {
 }
 
 TEST(SpillRunTest, TruncationIsRejectedWithFileAndOffset) {
-  ScratchDir scratch("chisimnet_spill_truncated");
+  ScratchDir scratch("spill_truncated");
   util::Rng rng(29);
   const std::vector<AdjacencyTriplet> run = makeRun(rng, 5000, 1u << 16);
   const std::filesystem::path path = scratch.path() / "run.0.spl";
@@ -233,7 +219,7 @@ TEST(SpillRunTest, TruncationIsRejectedWithFileAndOffset) {
 }
 
 TEST(SpillRunTest, HeaderCountMismatchIsRejected) {
-  ScratchDir scratch("chisimnet_spill_count_mismatch");
+  ScratchDir scratch("spill_count_mismatch");
   util::Rng rng(31);
   // Exactly one frame, then chop whole frames off by truncating at the
   // frame boundary: the per-frame CRCs still pass, but the header count
@@ -259,7 +245,7 @@ TEST(SpillRunTest, HeaderCountMismatchIsRejected) {
 }
 
 TEST(SpillRunTest, BitFlipIsRejectedWithCrcContext) {
-  ScratchDir scratch("chisimnet_spill_bitflip");
+  ScratchDir scratch("spill_bitflip");
   util::Rng rng(37);
   const std::vector<AdjacencyTriplet> run = makeRun(rng, 4000, 1u << 16);
   const std::filesystem::path path = scratch.path() / "run.0.spl";
@@ -295,7 +281,7 @@ TEST(SpillRunTest, BitFlipIsRejectedWithCrcContext) {
 // ---- SpillingAccumulator ----
 
 TEST(SpillingAccumulatorTest, MatchesBruteForceAcrossSpills) {
-  ScratchDir scratch("chisimnet_spill_acc_bruteforce");
+  ScratchDir scratch("spill_acc_bruteforce");
   util::Rng rng(41);
   const std::vector<AdjacencyTriplet> adds = makeRun(rng, 20000, 2000);
 
@@ -321,7 +307,7 @@ TEST(SpillingAccumulatorTest, PeakNeverExceedsTheBudget) {
   // least a few MiB (above the 4 KiB threshold floor), the accumulator's
   // peak resident bytes — shard tables plus the spill-sort transient —
   // stay at or below the cap.
-  ScratchDir scratch("chisimnet_spill_acc_budget");
+  ScratchDir scratch("spill_acc_budget");
   util::Rng rng(43);
   const std::uint64_t budget = 1 << 20;  // 1 MiB
 
@@ -355,7 +341,7 @@ TEST(SpillingAccumulatorTest, PeakNeverExceedsTheBudget) {
 }
 
 TEST(SpillingAccumulatorTest, CompactionBoundsLiveRuns) {
-  ScratchDir scratch("chisimnet_spill_acc_compact");
+  ScratchDir scratch("spill_acc_compact");
   util::Rng rng(47);
   const std::vector<AdjacencyTriplet> adds = makeRun(rng, 6000, 500);
 
@@ -379,7 +365,7 @@ TEST(SpillingAccumulatorTest, CompactionBoundsLiveRuns) {
 }
 
 TEST(SpillingAccumulatorTest, AdoptRenamesIntoOwnNamespace) {
-  ScratchDir scratch("chisimnet_spill_acc_adopt");
+  ScratchDir scratch("spill_acc_adopt");
   // A worker-named run: after a resume, worker names restart from zero,
   // so adoption must move the file out of the collidable namespace.
   const std::filesystem::path workerFile = scratch.path() / "w0.b0.0.spl";
@@ -404,7 +390,7 @@ TEST(SpillingAccumulatorTest, AdoptRenamesIntoOwnNamespace) {
 }
 
 TEST(SpillingAccumulatorTest, RestoreKeepsTheManifestName) {
-  ScratchDir scratch("chisimnet_spill_acc_restore");
+  ScratchDir scratch("spill_acc_restore");
   const std::filesystem::path runFile = scratch.path() / "run.3.spl";
   SpillRunInfo info;
   {

@@ -14,6 +14,7 @@
 #include "chisimnet/net/synthesis.hpp"
 #include "chisimnet/sparse/adjacency_io.hpp"
 #include "chisimnet/util/rng.hpp"
+#include "scratch_dir.hpp"
 
 /// Randomized differential harness for the synthesis pipeline: seeded random
 /// event tables — varying person/place counts, window edges, and adversarial
@@ -124,22 +125,7 @@ std::vector<std::filesystem::path> writePlacePartitionedFiles(
   return files;
 }
 
-class ScratchDir {
- public:
-  explicit ScratchDir(const std::string& name)
-      : dir_(std::filesystem::temp_directory_path() / name) {
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
-  }
-  ~ScratchDir() {
-    std::error_code ignored;
-    std::filesystem::remove_all(dir_, ignored);
-  }
-  const std::filesystem::path& path() const { return dir_; }
-
- private:
-  std::filesystem::path dir_;
-};
+using testutil::ScratchDir;
 
 void expectEqualAdjacency(const sparse::SymmetricAdjacency& got,
                           const sparse::SymmetricAdjacency& want,
@@ -169,7 +155,7 @@ TEST_P(SynthesisFuzz, PipelineEqualsBruteForceAcrossConfigs) {
   }
 
   // File path: place-partitioned per-rank logs, batching varied by seed.
-  ScratchDir scratch("chisimnet_fuzz_" + std::to_string(seed));
+  ScratchDir scratch("fuzz_" + std::to_string(seed));
   const int fileCount = 3 + static_cast<int>(seed % 3);
   const auto files =
       writePlacePartitionedFiles(fuzz.events, scratch.path(), fileCount);
@@ -334,20 +320,19 @@ TEST_P(SynthesisFuzz, PipelineEqualsBruteForceAcrossConfigs) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SynthesisFuzz,
                          ::testing::Range<std::uint64_t>(0, 100));
 
-/// Process-transport column: the same differential check with the mp
-/// backend's workers in separate OS processes. A seed subset — each case
-/// forks real workers, so the full 100-seed sweep would dominate the
-/// suite's wall clock for no added coverage of the (seed-independent)
-/// transport.
-class SynthesisFuzzProcess : public ::testing::TestWithParam<std::uint64_t> {
-};
+/// TCP-transport column: the same differential check with the mp
+/// backend's workers in separate OS processes over loopback TCP. A seed
+/// subset — each case forks real workers, so the full 100-seed sweep would
+/// dominate the suite's wall clock for no added coverage of the
+/// (seed-independent) transport.
+class SynthesisFuzzTcp : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(SynthesisFuzzProcess, ProcessTransportEqualsBruteForce) {
+TEST_P(SynthesisFuzzTcp, TcpTransportEqualsBruteForce) {
   const std::uint64_t seed = GetParam();
   const FuzzCase fuzz = makeCase(seed);
   const auto reference =
       bruteForceAdjacency(fuzz.events, fuzz.windowStart, fuzz.windowEnd);
-  ScratchDir scratch("chisimnet_fuzz_proc_" + std::to_string(seed));
+  ScratchDir scratch("fuzz_tcp_" + std::to_string(seed));
   const int fileCount = 3 + static_cast<int>(seed % 3);
   const auto files =
       writePlacePartitionedFiles(fuzz.events, scratch.path(), fileCount);
@@ -356,7 +341,7 @@ TEST_P(SynthesisFuzzProcess, ProcessTransportEqualsBruteForce) {
   config.windowStart = fuzz.windowStart;
   config.windowEnd = fuzz.windowEnd;
   config.backend = SynthesisBackend::kMessagePassing;
-  config.transport = MpTransport::kProcess;
+  config.transport = MpTransport::kTcp;
   config.workers = 2 + static_cast<unsigned>(seed % 2);
   config.filesPerBatch = seed % 3;
   for (const bool prefetch : {false, true}) {
@@ -364,13 +349,13 @@ TEST_P(SynthesisFuzzProcess, ProcessTransportEqualsBruteForce) {
     NetworkSynthesizer synthesizer(config);
     expectEqualAdjacency(
         synthesizer.synthesizeAdjacency(files), reference,
-        "process seed " + std::to_string(seed) +
+        "tcp seed " + std::to_string(seed) +
             (prefetch ? " prefetch" : " serial"));
     EXPECT_EQ(synthesizer.report().ranksLost, 0);
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, SynthesisFuzzProcess,
+INSTANTIATE_TEST_SUITE_P(Seeds, SynthesisFuzzTcp,
                          ::testing::Range<std::uint64_t>(0, 8));
 
 /// Satellite: filesPerBatch in {1, 3, all} over the same on-disk log set
@@ -378,7 +363,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SynthesisFuzzProcess,
 TEST(SynthesisBatching, BatchSizeInvariantOverSameLogSet) {
   for (const std::uint64_t seed : {3u, 11u, 27u}) {
     const FuzzCase fuzz = makeCase(seed + 1000);
-    ScratchDir scratch("chisimnet_batch_eq_" + std::to_string(seed));
+    ScratchDir scratch("batch_eq_" + std::to_string(seed));
     const auto files =
         writePlacePartitionedFiles(fuzz.events, scratch.path(), 6);
 
@@ -433,7 +418,7 @@ TEST(SynthesisBatching, BatchSizeInvariantOverSameLogSet) {
 TEST(SynthesisBatching, DegradedRunEqualsBruteForceOverSurvivors) {
   for (const std::uint64_t seed : {2u, 19u, 38u}) {
     const FuzzCase fuzz = makeCase(seed + 5000);
-    ScratchDir scratch("chisimnet_fuzz_degrade_" + std::to_string(seed));
+    ScratchDir scratch("fuzz_degrade_" + std::to_string(seed));
     const int fileCount = 4 + static_cast<int>(seed % 3);
     auto files =
         writePlacePartitionedFiles(fuzz.events, scratch.path(), fileCount);
@@ -480,7 +465,7 @@ TEST(SynthesisBatching, DegradedRunEqualsBruteForceOverSurvivors) {
 /// consumer thread as a normal exception, not crash the process.
 TEST(SynthesisBatching, CorruptFileSurfacesAsException) {
   const FuzzCase fuzz = makeCase(77);
-  ScratchDir scratch("chisimnet_fuzz_corrupt");
+  ScratchDir scratch("fuzz_corrupt");
   auto files = writePlacePartitionedFiles(fuzz.events, scratch.path(), 3);
   {
     std::ofstream corrupt(files[1], std::ios::binary | std::ios::trunc);
@@ -502,8 +487,8 @@ TEST(SynthesisBatching, CorruptFileSurfacesAsException) {
 }  // namespace
 }  // namespace chisimnet::net
 
-/// The process-transport cases re-enter this binary for their workers, so
-/// the worker hook must run before gtest takes over.
+/// The TCP-transport cases re-enter this binary for their workers, so the
+/// worker hook must run before gtest takes over.
 int main(int argc, char** argv) {
   if (const auto workerExit = chisimnet::net::maybeRunSynthesisWorker()) {
     return *workerExit;

@@ -4,13 +4,17 @@
 #include <sys/types.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cctype>
 #include <chrono>
+#include <csignal>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <optional>
 #include <span>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <unistd.h>
@@ -18,6 +22,7 @@
 
 #include "chisimnet/elog/clg5.hpp"
 #include "chisimnet/elog/log_directory.hpp"
+#include "chisimnet/net/checkpoint.hpp"
 #include "chisimnet/net/executor.hpp"
 #include "chisimnet/net/mp_protocol.hpp"
 #include "chisimnet/net/synthesis.hpp"
@@ -26,15 +31,17 @@
 #include "chisimnet/runtime/tcp_transport.hpp"
 #include "chisimnet/runtime/wire.hpp"
 #include "chisimnet/util/rng.hpp"
+#include "scratch_dir.hpp"
 
 /// TCP transport suite: addressing, the run-shipping codecs, config
 /// validation, end-to-end synthesis over real TCP worker processes —
 /// including the acceptance cases (a scripted connection drop must resolve
-/// through reconnect, a dead worker process through loss-reassignment,
-/// both bit-identical; spill mode must ship run bytes over the wire) —
-/// and adversarial handshakes thrown at the root's accept loop from raw
-/// client sockets: stale epochs, double connects, forged headers, and
-/// half-open connections that answer nothing.
+/// through reconnect, a SIGKILLed worker through respawn, a worker that
+/// keeps dying through loss-reassignment, all bit-identical; spill mode
+/// must ship run bytes over the wire; kill-mid-batch resume must restore
+/// the in-flight batch) — and adversarial handshakes thrown at the root's
+/// accept loop from raw client sockets: stale epochs, double connects,
+/// forged headers, and half-open connections that answer nothing.
 
 namespace chisimnet::net {
 namespace {
@@ -105,22 +112,7 @@ std::vector<std::filesystem::path> writePlacePartitionedFiles(
   return files;
 }
 
-class ScratchDir {
- public:
-  explicit ScratchDir(const std::string& name)
-      : dir_(std::filesystem::temp_directory_path() / name) {
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
-  }
-  ~ScratchDir() {
-    std::error_code ignored;
-    std::filesystem::remove_all(dir_, ignored);
-  }
-  const std::filesystem::path& path() const { return dir_; }
-
- private:
-  std::filesystem::path dir_;
-};
+using testutil::ScratchDir;
 
 void expectEqualAdjacency(const sparse::SymmetricAdjacency& got,
                           const sparse::SymmetricAdjacency& want,
@@ -276,9 +268,7 @@ TEST(TcpConfigTest, InvalidCombinationsAreRejected) {
   // could have been told about.
   config = SynthesisConfig{};
   config.backend = SynthesisBackend::kMessagePassing;
-  config.transport = MpTransport::kProcess;
   config.tcpListen = "127.0.0.1:9999";
-  config.heartbeatMs = 100;
   EXPECT_THROW(NetworkSynthesizer{config}, std::invalid_argument);
 
   config = SynthesisConfig{};
@@ -297,13 +287,29 @@ TEST(TcpConfigTest, InvalidCombinationsAreRejected) {
   EXPECT_THROW(NetworkSynthesizer{config}, std::invalid_argument);
 }
 
+/// The liveness and respawn knobs of the multi-process transport are
+/// validated up front: a zero heartbeat period could never declare a peer
+/// silent, and a negative respawn budget has no meaning.
+TEST(TcpConfigTest, HeartbeatAndRespawnBoundsAreRejected) {
+  SynthesisConfig config;
+  config.backend = SynthesisBackend::kMessagePassing;
+  config.transport = MpTransport::kTcp;
+  config.heartbeatMs = 0;
+  EXPECT_THROW(NetworkSynthesizer{config}, std::invalid_argument);
+
+  config = SynthesisConfig{};
+  config.backend = SynthesisBackend::kMessagePassing;
+  config.maxRespawns = -1;
+  EXPECT_THROW(NetworkSynthesizer{config}, std::invalid_argument);
+}
+
 // ---- end-to-end synthesis over loopback TCP ----
 
 TEST(TcpSynthesisTest, CleanRunMatchesBruteForce) {
   const FuzzCase fuzz = makeCase(181);
   const auto reference =
       bruteForceAdjacency(fuzz.events, fuzz.windowStart, fuzz.windowEnd);
-  ScratchDir scratch("chisimnet_tcp_clean");
+  ScratchDir scratch("tcp_clean");
   const auto files =
       writePlacePartitionedFiles(fuzz.events, scratch.path(), 4);
 
@@ -319,6 +325,31 @@ TEST(TcpSynthesisTest, CleanRunMatchesBruteForce) {
   EXPECT_GT(report.bytesScattered, 0u);
 }
 
+/// Serial loading and the background prefetcher drive the same workers
+/// over loopback TCP; both must reproduce the brute-force adjacency.
+TEST(TcpSynthesisTest, PrefetchOnAndOffMatchBruteForce) {
+  const FuzzCase fuzz = makeCase(91);
+  const auto reference =
+      bruteForceAdjacency(fuzz.events, fuzz.windowStart, fuzz.windowEnd);
+  ScratchDir scratch("tcp_prefetch");
+  const auto files =
+      writePlacePartitionedFiles(fuzz.events, scratch.path(), 4);
+
+  SynthesisConfig config = tcpConfig(fuzz);
+  config.filesPerBatch = 2;
+  for (const bool prefetch : {false, true}) {
+    config.prefetch = prefetch;
+    NetworkSynthesizer synthesizer(config);
+    const auto adjacency = synthesizer.synthesizeAdjacency(files);
+    expectEqualAdjacency(adjacency, reference,
+                         prefetch ? "tcp prefetch" : "tcp serial");
+    const SynthesisReport& report = synthesizer.report();
+    EXPECT_EQ(report.ranksLost, 0);
+    EXPECT_EQ(report.workersRespawned, 0u);
+    EXPECT_GT(report.bytesScattered, 0u);
+  }
+}
+
 /// Acceptance (reconnect path): the first root->worker data frame is
 /// dropped on the floor along with its connection — a scripted partition,
 /// not a process death. The still-live worker re-dials inside the grace
@@ -328,7 +359,7 @@ TEST(TcpSynthesisTest, ScriptedConnectionDropReconnectsBitIdentical) {
   const FuzzCase fuzz = makeCase(182);
   const auto reference =
       bruteForceAdjacency(fuzz.events, fuzz.windowStart, fuzz.windowEnd);
-  ScratchDir scratch("chisimnet_tcp_drop");
+  ScratchDir scratch("tcp_drop");
   const auto files =
       writePlacePartitionedFiles(fuzz.events, scratch.path(), 4);
 
@@ -353,14 +384,14 @@ TEST(TcpSynthesisTest, ScriptedConnectionDropReconnectsBitIdentical) {
 }
 
 /// Acceptance (reassignment path): worker rank 2 SIGKILLs itself on its
-/// first command. Over TCP there is no respawn; the reaped child
-/// short-circuits the grace window, the rank goes permanently dead, and
-/// the run completes on the survivors with identical output.
+/// first command. With respawn disabled the reaped child short-circuits
+/// the grace window, the rank goes permanently dead, and the run completes
+/// on the survivors with identical output.
 TEST(TcpSynthesisTest, DeadWorkerProcessIsLostAndItsWorkReassigned) {
   const FuzzCase fuzz = makeCase(183);
   const auto reference =
       bruteForceAdjacency(fuzz.events, fuzz.windowStart, fuzz.windowEnd);
-  ScratchDir scratch("chisimnet_tcp_reassign");
+  ScratchDir scratch("tcp_reassign");
   const auto files =
       writePlacePartitionedFiles(fuzz.events, scratch.path(), 4);
 
@@ -375,6 +406,7 @@ TEST(TcpSynthesisTest, DeadWorkerProcessIsLostAndItsWorkReassigned) {
   config.workers = 4;
   config.filesPerBatch = 2;
   config.reconnectGraceMs = 400;
+  config.maxRespawns = 0;
   NetworkSynthesizer synthesizer(config);
   const auto adjacency = synthesizer.synthesizeAdjacency(files);
   expectEqualAdjacency(adjacency, reference, "tcp reassignment path");
@@ -394,10 +426,10 @@ TEST(TcpSynthesisTest, DeadWorkerProcessIsLostAndItsWorkReassigned) {
 /// shared-memory backend's, in both the single-owner and sharded merges.
 TEST(TcpSynthesisTest, SpillModeShipsRunBytesBitIdentical) {
   const FuzzCase fuzz = makeCase(184);
-  ScratchDir scratch("chisimnet_tcp_spill");
+  ScratchDir scratch("tcp_spill");
   const auto files =
       writePlacePartitionedFiles(fuzz.events, scratch.path(), 4);
-  ScratchDir out("chisimnet_tcp_spill_out");
+  ScratchDir out("tcp_spill_out");
 
   for (const unsigned shards : {1u, 2u}) {
     const std::string label = "reduce shards " + std::to_string(shards);
@@ -426,6 +458,350 @@ TEST(TcpSynthesisTest, SpillModeShipsRunBytesBitIdentical) {
     EXPECT_EQ(report.ranksLost, 0) << label;
     EXPECT_GT(report.spillRunsWritten, 0u) << label;
   }
+}
+
+/// The plan ships to the workers through the bootstrap environment; the
+/// first command a worker processes throws, it answers status=failed, and
+/// the root retries against the same (still live) process.
+TEST(TcpSynthesisTest, WorkerCommandThrowIsRetried) {
+  const FuzzCase fuzz = makeCase(92);
+  const auto reference =
+      bruteForceAdjacency(fuzz.events, fuzz.windowStart, fuzz.windowEnd);
+  ScratchDir scratch("tcp_retry");
+  const auto files =
+      writePlacePartitionedFiles(fuzz.events, scratch.path(), 3);
+
+  FaultPlan plan;
+  plan.at("mp.service.command",
+          FaultSpec{.action = FaultAction::kThrow, .hit = 1});
+  runtime::fault::ScopedFaultPlan scoped(plan);
+
+  SynthesisConfig config = tcpConfig(fuzz);
+  NetworkSynthesizer synthesizer(config);
+  expectEqualAdjacency(synthesizer.synthesizeAdjacency(files), reference,
+                       "tcp retry after worker throw");
+  const SynthesisReport& report = synthesizer.report();
+  EXPECT_GE(report.commandRetries, 1u);
+  EXPECT_EQ(report.ranksLost, 0);
+  EXPECT_TRUE(hasFault(report, FaultEvent::Kind::kCommandRetry));
+}
+
+/// Child pids of this process, read from /proc — the transport's workers
+/// are our only children, so this is how an *external* killer (an OOM
+/// killer, an operator) would find them.
+std::vector<pid_t> childProcesses() {
+  std::vector<pid_t> children;
+  const pid_t self = ::getpid();
+  for (const auto& entry : std::filesystem::directory_iterator("/proc")) {
+    const std::string name = entry.path().filename().string();
+    if (name.empty() ||
+        !std::isdigit(static_cast<unsigned char>(name[0]))) {
+      continue;
+    }
+    std::ifstream stat(entry.path() / "stat");
+    std::string content((std::istreambuf_iterator<char>(stat)),
+                        std::istreambuf_iterator<char>());
+    // Fields after the parenthesized comm: state, then ppid.
+    const auto close = content.rfind(')');
+    if (close == std::string::npos || close + 2 >= content.size()) {
+      continue;
+    }
+    std::istringstream rest(content.substr(close + 2));
+    char state = 0;
+    pid_t ppid = -1;
+    rest >> state >> ppid;
+    if (ppid == self) {
+      children.push_back(static_cast<pid_t>(std::stol(name)));
+    }
+  }
+  return children;
+}
+
+/// A SIGKILL that fires exactly once, driven from the root side (a plan
+/// shipped to the workers would be replayed into every respawned child).
+/// The plan stalls the root's first command send; a thread waiting on that
+/// hit kills one worker process while the root is stalled, so the kill
+/// lands after the handshake and before the first reply.
+class RootSideKill {
+ public:
+  explicit RootSideKill(FaultPlan& plan) {
+    plan.at("mp.send",
+            FaultSpec{.action = FaultAction::kDelay, .hit = 1, .delayMs = 200});
+    thread_ = std::thread([this, &plan] {
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(20);
+      while (plan.hitCount("mp.send") == 0 &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      }
+      const auto children = childProcesses();
+      if (!children.empty() && ::kill(children.front(), SIGKILL) == 0) {
+        killed_.store(true);
+      }
+    });
+  }
+  ~RootSideKill() { join(); }
+
+  RootSideKill(const RootSideKill&) = delete;
+  RootSideKill& operator=(const RootSideKill&) = delete;
+
+  /// Joins the killer; true when it delivered its SIGKILL.
+  bool join() {
+    if (thread_.joinable()) {
+      thread_.join();
+    }
+    return killed_.load();
+  }
+
+ private:
+  std::atomic<bool> killed_{false};
+  std::thread thread_;
+};
+
+/// Acceptance (respawn path): one worker process is SIGKILLed before its
+/// first command reaches it. The monitor reaps it and exec's a replacement
+/// that claims the slot's epoch, the command retry lands on the fresh
+/// process, and the output is bit-identical with no rank lost.
+TEST(TcpSynthesisTest, SigkilledWorkerIsRespawnedBitIdentical) {
+  const FuzzCase fuzz = makeCase(93);
+  const auto reference =
+      bruteForceAdjacency(fuzz.events, fuzz.windowStart, fuzz.windowEnd);
+  ScratchDir scratch("tcp_respawn");
+  const auto files =
+      writePlacePartitionedFiles(fuzz.events, scratch.path(), 4);
+
+  FaultPlan plan;
+  RootSideKill kill(plan);
+  runtime::fault::ScopedFaultPlan scoped(plan);
+
+  SynthesisConfig config = tcpConfig(fuzz);
+  config.filesPerBatch = 2;
+  NetworkSynthesizer synthesizer(config);
+  const auto adjacency = synthesizer.synthesizeAdjacency(files);
+  ASSERT_TRUE(kill.join()) << "the killer never found a worker";
+  expectEqualAdjacency(adjacency, reference, "respawn path");
+  const SynthesisReport& report = synthesizer.report();
+  EXPECT_EQ(report.ranksLost, 0);
+  EXPECT_GE(report.workersRespawned, 1u);
+  EXPECT_TRUE(hasFault(report, FaultEvent::Kind::kWorkerRespawn));
+  EXPECT_FALSE(hasFault(report, FaultEvent::Kind::kRankLost));
+}
+
+/// Acceptance (reassignment path): worker rank 2 SIGKILLs itself on every
+/// command it receives. The fault plan is replayed into each respawned
+/// child, so the respawn budget drains and the rank goes permanently dead;
+/// the run completes on the survivors with identical output.
+TEST(TcpSynthesisTest, RespawnBudgetExhaustionReassignsWork) {
+  const FuzzCase fuzz = makeCase(94);
+  const auto reference =
+      bruteForceAdjacency(fuzz.events, fuzz.windowStart, fuzz.windowEnd);
+  ScratchDir scratch("tcp_budget");
+  const auto files =
+      writePlacePartitionedFiles(fuzz.events, scratch.path(), 4);
+
+  FaultPlan plan;
+  plan.at("mp.service.command",
+          FaultSpec{.action = FaultAction::kKillProcess, .rank = 2});
+  runtime::fault::ScopedFaultPlan scoped(plan);
+
+  SynthesisConfig config = tcpConfig(fuzz);
+  config.workers = 4;
+  config.maxRespawns = 1;
+  config.filesPerBatch = 2;
+  NetworkSynthesizer synthesizer(config);
+  const auto adjacency = synthesizer.synthesizeAdjacency(files);
+  expectEqualAdjacency(adjacency, reference, "respawn budget exhausted");
+  const SynthesisReport& report = synthesizer.report();
+  EXPECT_EQ(report.ranksLost, 1);
+  EXPECT_EQ(report.workersRespawned, 1u);
+  EXPECT_TRUE(hasFault(report, FaultEvent::Kind::kRankLost));
+
+  // The degraded synthesizer keeps producing identical output afterwards.
+  expectEqualAdjacency(synthesizer.synthesizeAdjacency(files), reference,
+                       "respawn budget exhausted, second run");
+}
+
+TEST(TcpSynthesisTest, MaxRespawnsZeroLosesTheRankOnFirstDeath) {
+  const FuzzCase fuzz = makeCase(95);
+  const auto reference =
+      bruteForceAdjacency(fuzz.events, fuzz.windowStart, fuzz.windowEnd);
+  ScratchDir scratch("tcp_no_respawn");
+  const auto files =
+      writePlacePartitionedFiles(fuzz.events, scratch.path(), 3);
+
+  FaultPlan plan;
+  RootSideKill kill(plan);
+  runtime::fault::ScopedFaultPlan scoped(plan);
+
+  SynthesisConfig config = tcpConfig(fuzz);
+  config.maxRespawns = 0;
+  NetworkSynthesizer synthesizer(config);
+  const auto adjacency = synthesizer.synthesizeAdjacency(files);
+  ASSERT_TRUE(kill.join()) << "the killer never found a worker";
+  expectEqualAdjacency(adjacency, reference, "respawn disabled");
+  const SynthesisReport& report = synthesizer.report();
+  EXPECT_EQ(report.ranksLost, 1);
+  EXPECT_EQ(report.workersRespawned, 0u);
+}
+
+/// Acceptance (raw external kill): SIGKILL a live worker from outside the
+/// fault framework while mapAdjacency commands are in flight. Whichever
+/// recovery path engages — respawn or loss reassignment — the surviving
+/// output must be bit-identical.
+TEST(TcpSynthesisTest, RawExternalSigkillMidRunSurvives) {
+  const FuzzCase fuzz = makeCase(96);
+  const auto reference =
+      bruteForceAdjacency(fuzz.events, fuzz.windowStart, fuzz.windowEnd);
+  ScratchDir scratch("tcp_external_kill");
+  const auto files =
+      writePlacePartitionedFiles(fuzz.events, scratch.path(), 4);
+
+  // Stretch every worker command by 40 ms (shipped via the bootstrap env)
+  // so the external SIGKILL reliably lands while work is in flight.
+  FaultPlan plan;
+  plan.at("mp.service.command",
+          FaultSpec{.action = FaultAction::kDelay, .delayMs = 40});
+  runtime::fault::ScopedFaultPlan scoped(plan);
+
+  SynthesisConfig config = tcpConfig(fuzz);
+  config.filesPerBatch = 2;
+
+  std::atomic<bool> done{false};
+  std::atomic<bool> killed{false};
+  std::thread killer([&done, &killed] {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!done.load() && std::chrono::steady_clock::now() < deadline) {
+      const auto children = childProcesses();
+      if (!children.empty()) {
+        // Give the run a moment to get commands in flight, then kill.
+        std::this_thread::sleep_for(std::chrono::milliseconds(60));
+        if (!done.load() && ::kill(children.front(), SIGKILL) == 0) {
+          killed.store(true);
+        }
+        return;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  });
+
+  NetworkSynthesizer synthesizer(config);
+  const auto adjacency = synthesizer.synthesizeAdjacency(files);
+  done.store(true);
+  killer.join();
+
+  expectEqualAdjacency(adjacency, reference, "raw external SIGKILL");
+  const SynthesisReport& report = synthesizer.report();
+  ASSERT_TRUE(killed.load()) << "the killer thread never found a worker";
+  EXPECT_GE(report.workersRespawned + static_cast<std::uint64_t>(
+                                          report.ranksLost),
+            1u)
+      << "the kill must show up as a respawn or a lost rank";
+}
+
+/// Kill-mid-batch checkpoint/resume with the in-flight snapshot: the
+/// prefetcher has the next batch decoded when the driver dies, the
+/// checkpoint carries it, and the resumed run restores it instead of
+/// re-decoding — with bit-identical output, over both mp transports.
+TEST(TcpSynthesisTest, KillMidBatchResumeRestoresInflight) {
+  const FuzzCase fuzz = makeCase(97);
+  ScratchDir scratch("tcp_inflight_resume");
+  const auto files =
+      writePlacePartitionedFiles(fuzz.events, scratch.path(), 6);
+
+  for (const MpTransport transport : {MpTransport::kInProcess,
+                                      MpTransport::kTcp}) {
+    const std::string label = mpTransportName(transport);
+    ScratchDir checkpoints("ckpt_" + label);
+
+    SynthesisConfig config;
+    config.windowStart = fuzz.windowStart;
+    config.windowEnd = fuzz.windowEnd;
+    config.workers = 3;
+    config.backend = SynthesisBackend::kMessagePassing;
+    config.transport = transport;
+    config.heartbeatMs = 100;
+    config.filesPerBatch = 2;  // 3 batches over 6 files
+    config.prefetch = true;
+    config.prefetchDepth = 2;
+
+    // Reference: one uninterrupted run, no checkpointing involved.
+    NetworkSynthesizer uninterrupted(config);
+    const auto reference = uninterrupted.synthesizeAdjacency(files);
+
+    config.checkpointDir = checkpoints.path();
+    {
+      // Slow the compute side so the producer is decoded ahead, then die
+      // right after the second batch's checkpoint hits disk.
+      FaultPlan plan;
+      plan.at("driver.collocation",
+              FaultSpec{.action = FaultAction::kDelay, .delayMs = 40});
+      plan.at("driver.batch",
+              FaultSpec{.action = FaultAction::kThrow, .hit = 2});
+      runtime::fault::ScopedFaultPlan scoped(plan);
+      NetworkSynthesizer interrupted(config);
+      EXPECT_THROW(interrupted.synthesizeAdjacency(files),
+                   runtime::FaultInjected)
+          << label;
+    }
+    const auto manifest = loadCheckpointManifest(checkpoints.path());
+    ASSERT_TRUE(manifest.has_value()) << label;
+    EXPECT_EQ(manifest->filesConsumed, 4u) << label;
+    ASSERT_FALSE(manifest->inflightFile.empty())
+        << label << ": the checkpoint must carry the decoded batch 3";
+
+    config.resume = true;
+    NetworkSynthesizer resumed(config);
+    const auto adjacency = resumed.synthesizeAdjacency(files);
+    EXPECT_EQ(adjacency.toTriplets(), reference.toTriplets()) << label;
+    const SynthesisReport& report = resumed.report();
+    EXPECT_TRUE(report.resumed) << label;
+    EXPECT_TRUE(report.inflightRestored) << label;
+    EXPECT_EQ(report.batches, 3u) << label;
+    EXPECT_EQ(report.filesSkippedByResume, 4u) << label;
+  }
+}
+
+/// The non-prefetching driver must also accept (and correctly consume) a
+/// checkpoint whose snapshot a prefetching run wrote before dying.
+TEST(TcpSynthesisTest, SerialResumeConsumesAPrefetchSnapshot) {
+  const FuzzCase fuzz = makeCase(98);
+  ScratchDir scratch("tcp_serial_resume");
+  const auto files =
+      writePlacePartitionedFiles(fuzz.events, scratch.path(), 6);
+  ScratchDir checkpoints("tcp_serial_resume_ckpt");
+
+  SynthesisConfig config = tcpConfig(fuzz);
+  config.faultPolicy = FaultPolicy::kFailFast;
+  config.filesPerBatch = 2;
+  config.prefetch = true;
+  config.prefetchDepth = 2;
+
+  NetworkSynthesizer uninterrupted(config);
+  const auto reference = uninterrupted.synthesizeAdjacency(files);
+
+  config.checkpointDir = checkpoints.path();
+  {
+    FaultPlan plan;
+    plan.at("driver.collocation",
+            FaultSpec{.action = FaultAction::kDelay, .delayMs = 40});
+    plan.at("driver.batch",
+            FaultSpec{.action = FaultAction::kThrow, .hit = 2});
+    runtime::fault::ScopedFaultPlan scoped(plan);
+    NetworkSynthesizer interrupted(config);
+    EXPECT_THROW(interrupted.synthesizeAdjacency(files),
+                 runtime::FaultInjected);
+  }
+  const auto manifest = loadCheckpointManifest(checkpoints.path());
+  ASSERT_TRUE(manifest.has_value());
+  ASSERT_FALSE(manifest->inflightFile.empty());
+
+  config.resume = true;
+  config.prefetch = false;  // resume with the serial loader
+  NetworkSynthesizer resumed(config);
+  const auto adjacency = resumed.synthesizeAdjacency(files);
+  EXPECT_EQ(adjacency.toTriplets(), reference.toTriplets());
+  EXPECT_TRUE(resumed.report().inflightRestored);
 }
 
 // ---- adversarial handshakes against the root's accept loop ----

@@ -19,25 +19,47 @@
 ///   chisim ego        --net /tmp/net.cadj --person 42 --radius 2
 ///                     --out /tmp/ego
 
+#include <algorithm>
 #include <charconv>
 #include <cstdlib>
 #include <iostream>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "chisimnet/chisimnet.hpp"
 #include "chisimnet/runtime/fault.hpp"
-#include "chisimnet/runtime/process_transport.hpp"
 #include "chisimnet/runtime/tcp_transport.hpp"
 
 namespace {
 
 using namespace chisimnet;
 
-/// Minimal --key value argument parser.
+/// Levenshtein distance, for naming the nearest valid flag.
+std::size_t editDistance(const std::string& a, const std::string& b) {
+  std::vector<std::size_t> row(b.size() + 1);
+  std::iota(row.begin(), row.end(), std::size_t{0});
+  for (std::size_t i = 1; i <= a.size(); ++i) {
+    std::size_t diagonal = row[0];
+    row[0] = i;
+    for (std::size_t j = 1; j <= b.size(); ++j) {
+      const std::size_t above = row[j];
+      row[j] = std::min({row[j] + 1, row[j - 1] + 1,
+                         diagonal + (a[i - 1] == b[j - 1] ? 0 : 1)});
+      diagonal = above;
+    }
+  }
+  return row[b.size()];
+}
+
+/// Minimal --key value argument parser. Every accessor records the key it
+/// was asked for, so the set of valid flags of a subcommand is exactly the
+/// set it reads: a subcommand reads all of its options up front, then
+/// calls rejectUnknown() before doing any work.
 class Args {
  public:
   Args(int argc, char** argv, int firstArg) {
@@ -55,15 +77,18 @@ class Args {
     }
   }
 
-  bool has(const std::string& key) const { return values_.contains(key); }
+  bool has(const std::string& key) const {
+    read_.insert(key);
+    return values_.contains(key);
+  }
 
   std::string str(const std::string& key, const std::string& fallback) const {
-    const auto it = values_.find(key);
+    const auto it = find(key);
     return it == values_.end() ? fallback : it->second;
   }
 
   std::string requireStr(const std::string& key) const {
-    const auto it = values_.find(key);
+    const auto it = find(key);
     if (it == values_.end() || it->second.empty()) {
       throw std::invalid_argument("missing required option --" + key);
     }
@@ -71,7 +96,7 @@ class Args {
   }
 
   std::uint64_t u64(const std::string& key, std::uint64_t fallback) const {
-    const auto it = values_.find(key);
+    const auto it = find(key);
     if (it == values_.end()) {
       return fallback;
     }
@@ -89,7 +114,7 @@ class Args {
   /// Byte size with an optional K/M/G (KiB/MiB/GiB) suffix, e.g.
   /// --memory-budget 256M.
   std::uint64_t bytes(const std::string& key, std::uint64_t fallback) const {
-    const auto it = values_.find(key);
+    const auto it = find(key);
     if (it == values_.end()) {
       return fallback;
     }
@@ -118,24 +143,48 @@ class Args {
   }
 
   double real(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
+    const auto it = find(key);
     if (it == values_.end()) {
       return fallback;
     }
     return std::stod(it->second);
   }
 
+  /// Throws on the first given flag the subcommand never read, naming the
+  /// nearest flag it did read.
+  void rejectUnknown() const {
+    for (const auto& [key, value] : values_) {
+      if (read_.contains(key)) {
+        continue;
+      }
+      std::string message = "unknown option --" + key;
+      const auto nearest = std::min_element(
+          read_.begin(), read_.end(),
+          [&key](const std::string& a, const std::string& b) {
+            return editDistance(key, a) < editDistance(key, b);
+          });
+      if (nearest != read_.end()) {
+        message += "; did you mean --" + *nearest + "?";
+      }
+      throw std::invalid_argument(message);
+    }
+  }
+
  private:
+  std::map<std::string, std::string>::const_iterator find(
+      const std::string& key) const {
+    read_.insert(key);
+    return values_.find(key);
+  }
+
   std::map<std::string, std::string> values_;
+  mutable std::set<std::string> read_;
 };
 
 int cmdSimulate(const Args& args) {
   pop::PopulationConfig popConfig;
   popConfig.personCount = static_cast<std::uint32_t>(args.u64("persons", 20000));
   popConfig.seed = args.u64("seed", 20170517);
-  const auto population = pop::SyntheticPopulation::generate(popConfig);
-  std::cout << "population: " << population.persons().size() << " persons, "
-            << population.places().size() << " places\n";
 
   abm::ModelConfig config;
   config.logDirectory = args.requireStr("logs");
@@ -162,6 +211,16 @@ int cmdSimulate(const Args& args) {
   config.checkpointEveryHours =
       static_cast<std::uint32_t>(args.u64("sim-checkpoint-hours", 0));
   config.resume = args.has("resume");
+  const bool withDisease = args.has("disease");
+  abm::DiseaseConfig disease;
+  disease.beta = args.real("beta", 0.002);
+  disease.seedCount = static_cast<std::uint32_t>(args.u64("seeds", 5));
+  disease.seed = args.u64("disease-seed", 99);
+  args.rejectUnknown();
+
+  const auto population = pop::SyntheticPopulation::generate(popConfig);
+  std::cout << "population: " << population.persons().size() << " persons, "
+            << population.places().size() << " places\n";
 
   // SIGTERM/SIGINT become a graceful checkpoint-and-exit only when there
   // is a checkpoint directory to write to; otherwise the default
@@ -173,11 +232,7 @@ int cmdSimulate(const Args& args) {
   }
 
   abm::ModelStats stats;
-  if (args.has("disease")) {
-    abm::DiseaseConfig disease;
-    disease.beta = args.real("beta", 0.002);
-    disease.seedCount = static_cast<std::uint32_t>(args.u64("seeds", 5));
-    disease.seed = args.u64("disease-seed", 99);
+  if (withDisease) {
     abm::DiseaseStats epidemic;
     stats = abm::runModel(population, config, disease, epidemic);
     std::cout << "epidemic: " << epidemic.seeded << " seeds, "
@@ -211,7 +266,9 @@ int cmdSimulate(const Args& args) {
 }
 
 int cmdInfo(const Args& args) {
-  const auto files = elog::listLogFiles(args.requireStr("logs"));
+  const std::string logs = args.requireStr("logs");
+  args.rejectUnknown();
+  const auto files = elog::listLogFiles(logs);
   if (files.empty()) {
     std::cout << "no CLG5 files found\n";
     return 1;
@@ -242,11 +299,7 @@ int cmdInfo(const Args& args) {
 }
 
 int cmdSynthesize(const Args& args) {
-  const auto files = elog::listLogFiles(args.requireStr("logs"));
-  if (files.empty()) {
-    std::cerr << "no CLG5 files found\n";
-    return 1;
-  }
+  const std::string logs = args.requireStr("logs");
   net::SynthesisConfig config;
   config.windowStart = static_cast<table::Hour>(args.u64("window-start", 0));
   config.windowEnd = static_cast<table::Hour>(args.u64("window-end", 168));
@@ -258,6 +311,7 @@ int cmdSynthesize(const Args& args) {
   config.decodeWorkers = static_cast<unsigned>(args.u64("decode-workers", 0));
   // On by default (see EXPERIMENTS.md); --occupancy-weight is still
   // accepted so existing invocations keep working.
+  (void)args.has("occupancy-weight");
   config.occupancyWeight = !args.has("nnz-weight");
   config.treeReduce = !args.has("serial-reduce");
   const std::string method = args.str("method", "local");
@@ -288,13 +342,11 @@ int cmdSynthesize(const Args& args) {
   config.maxQuarantinedFiles = args.u64("max-quarantined-files", 0);
   config.commandTimeoutMs = args.u64("command-timeout-ms", 0);
   const std::string transport = args.str("transport", "inproc");
-  if (transport == "process") {
-    config.transport = net::MpTransport::kProcess;
-  } else if (transport == "tcp") {
+  if (transport == "tcp") {
     config.transport = net::MpTransport::kTcp;
   } else if (transport != "inproc") {
     throw std::invalid_argument(
-        "--transport expects inproc, process or tcp, got: " + transport);
+        "--transport expects inproc or tcp, got: " + transport);
   }
   config.maxRespawns = static_cast<int>(args.u64("max-respawns", 1));
   config.heartbeatMs = args.u64("heartbeat-ms", 250);
@@ -321,6 +373,12 @@ int cmdSynthesize(const Args& args) {
         readahead);
   }
   const std::string out = args.requireStr("out");
+  args.rejectUnknown();
+  const auto files = elog::listLogFiles(logs);
+  if (files.empty()) {
+    std::cerr << "no CLG5 files found\n";
+    return 1;
+  }
   net::NetworkSynthesizer synthesizer(config);
   std::uint64_t edges = 0;
   if (config.memoryBudgetBytes > 0) {
@@ -417,7 +475,13 @@ int cmdSynthesize(const Args& args) {
 }
 
 int cmdAnalyze(const Args& args) {
-  const auto triplets = sparse::loadTriplets(args.requireStr("net"));
+  const std::string netPath = args.requireStr("net");
+  const bool clustering = args.has("clustering");
+  const bool communities = args.has("communities");
+  const std::uint64_t louvainSeed = args.u64("seed", 1);
+  const std::string degreesOut = args.str("degrees-out", "");
+  args.rejectUnknown();
+  const auto triplets = sparse::loadTriplets(netPath);
   const graph::Graph network = graph::Graph::fromTriplets(triplets);
   std::cout << "network: " << network.vertexCount() << " vertices, "
             << network.edgeCount() << " edges, mean degree "
@@ -439,7 +503,7 @@ int cmdAnalyze(const Args& args) {
   std::cout << "components: " << components.count() << ", giant "
             << components.giantSize() << " vertices\n";
 
-  if (args.has("clustering")) {
+  if (clustering) {
     const auto coefficients = graph::localClusteringCoefficients(network);
     std::uint64_t atOne = 0;
     for (double c : coefficients) {
@@ -448,38 +512,39 @@ int cmdAnalyze(const Args& args) {
     std::cout << "clustering: mean " << stats::mean(coefficients) << ", "
               << atOne << " vertices at 1.0\n";
   }
-  if (args.has("communities")) {
-    util::Rng rng(args.u64("seed", 1));
+  if (communities) {
+    util::Rng rng(louvainSeed);
     const auto assignment = graph::louvain(network, rng);
     std::cout << "louvain: " << assignment.communityCount
               << " communities, modularity " << assignment.modularity << "\n";
   }
-  if (args.has("degrees-out")) {
-    std::ofstream out(args.requireStr("degrees-out"));
+  if (!degreesOut.empty()) {
+    std::ofstream out(degreesOut);
     out << "degree\tcount\tfraction\n";
     for (const auto& point : distribution) {
       out << point.value << '\t' << point.count << '\t' << point.fraction
           << '\n';
     }
-    std::cout << "wrote degree distribution to "
-              << args.requireStr("degrees-out") << "\n";
+    std::cout << "wrote degree distribution to " << degreesOut << "\n";
   }
   return 0;
 }
 
 int cmdExport(const Args& args) {
-  const auto files = elog::listLogFiles(args.requireStr("logs"));
-  if (files.empty()) {
-    std::cerr << "no CLG5 files found\n";
-    return 1;
-  }
+  const std::string logs = args.requireStr("logs");
   const auto windowStart =
       static_cast<table::Hour>(args.u64("window-start", 0));
   const auto windowEnd =
       static_cast<table::Hour>(args.u64("window-end", 0xFFFFFFFFull));
+  const std::string out = args.requireStr("out");
+  args.rejectUnknown();
+  const auto files = elog::listLogFiles(logs);
+  if (files.empty()) {
+    std::cerr << "no CLG5 files found\n";
+    return 1;
+  }
   table::EventTable events = elog::loadEvents(files, windowStart, windowEnd);
   events.sortByStart();
-  const std::string out = args.requireStr("out");
   table::writeEventsTsv(events, out);
   std::cout << "wrote " << events.size() << " events to " << out
             << " (load into R with data.table::fread)\n";
@@ -487,10 +552,16 @@ int cmdExport(const Args& args) {
 }
 
 int cmdEgo(const Args& args) {
-  const auto triplets = sparse::loadTriplets(args.requireStr("net"));
-  const graph::Graph network = graph::Graph::fromTriplets(triplets);
+  const std::string netPath = args.requireStr("net");
   const auto person = static_cast<std::uint32_t>(args.u64("person", 0));
   const auto radius = static_cast<unsigned>(args.u64("radius", 2));
+  const std::string prefix = args.requireStr("out");
+  const std::uint64_t layoutLimit = args.u64("layout-limit", 4000);
+  // 0 = pick by ego size once it is known.
+  const auto iterations = static_cast<unsigned>(args.u64("iterations", 0));
+  args.rejectUnknown();
+  const auto triplets = sparse::loadTriplets(netPath);
+  const graph::Graph network = graph::Graph::fromTriplets(triplets);
   const auto vertex = network.vertexForLabel(person);
   if (!vertex.has_value()) {
     std::cerr << "person " << person << " is not in the network\n";
@@ -500,14 +571,13 @@ int cmdEgo(const Args& args) {
   std::cout << "ego(" << person << ", r=" << radius << "): "
             << ego.vertexCount() << " nodes, " << ego.edgeCount()
             << " edges\n";
-  const std::string prefix = args.requireStr("out");
   graph::writeGraphMl(ego, prefix + ".graphml");
-  if (ego.vertexCount() <= args.u64("layout-limit", 4000)) {
+  if (ego.vertexCount() <= layoutLimit) {
     util::Rng rng(5);
     graph::LayoutOptions layout;
-    layout.iterations =
-        static_cast<unsigned>(args.u64("iterations",
-                                       ego.vertexCount() > 1500 ? 80 : 200));
+    layout.iterations = iterations != 0     ? iterations
+                        : ego.vertexCount() > 1500 ? 80u
+                                                   : 200u;
     const auto positions = graph::forceAtlas2Layout(ego, layout, rng);
     graph::writeSvg(ego, positions, prefix + ".svg");
     std::cout << "wrote " << prefix << ".svg and " << prefix << ".graphml\n";
@@ -536,13 +606,16 @@ int cmdWorker(const Args& args) {
     throw std::invalid_argument(
         "--rank-count must be >= 2 and greater than --rank");
   }
+  const std::uint64_t connectTimeoutMs = args.u64("connect-timeout-ms", 5000);
+  const std::uint64_t connectRetries = args.u64("connect-retries", 5);
+  args.rejectUnknown();
   ::setenv(runtime::kWorkerTcpEnv, connect.c_str(), 1);
   ::setenv(runtime::kWorkerRankEnv, std::to_string(rank).c_str(), 1);
   ::setenv(runtime::kWorkerRankCountEnv, std::to_string(rankCount).c_str(), 1);
   ::setenv(runtime::kWorkerConnectTimeoutEnv,
-           std::to_string(args.u64("connect-timeout-ms", 5000)).c_str(), 1);
+           std::to_string(connectTimeoutMs).c_str(), 1);
   ::setenv(runtime::kWorkerConnectRetriesEnv,
-           std::to_string(args.u64("connect-retries", 5)).c_str(), 1);
+           std::to_string(connectRetries).c_str(), 1);
   const auto workerExit = net::maybeRunSynthesisWorker();
   if (!workerExit.has_value()) {
     std::cerr << "chisim worker: bootstrap environment rejected\n";
@@ -569,7 +642,7 @@ void printUsage() {
       "              [--no-prefetch] [--prefetch-depth N] [--decode-workers W]\n"
       "              [--fault-policy failfast|degrade] [--max-quarantined-files N]\n"
       "              [--command-timeout-ms MS] [--checkpoint-dir DIR] [--resume]\n"
-      "              [--transport inproc|process|tcp] [--max-respawns N]\n"
+      "              [--transport inproc|tcp] [--max-respawns N]\n"
       "              [--heartbeat-ms MS] [--connect-timeout-ms MS]\n"
       "              [--connect-retries N] [--reconnect-grace-ms MS]\n"
       "              [--tcp-listen HOST:PORT [--tcp-job FILE]]\n"
@@ -588,16 +661,16 @@ void printUsage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // A process spawned by --transport process re-enters this binary with
-  // worker bootstrap env vars set; it must become a synthesis worker before
-  // any CLI parsing (the root passes no argv to workers).
+  // A loopback worker spawned by --transport tcp re-enters this binary
+  // with worker bootstrap env vars set; it must become a synthesis worker
+  // before any CLI parsing.
   if (const auto workerExit = chisimnet::net::maybeRunSynthesisWorker()) {
     return *workerExit;
   }
   // A scripted fault plan shipped through the environment (the same
   // mechanism the transports use for synthesis workers) lets CI and the
   // nightly soak kill a simulation at an exact hour, tear a wire frame, or
-  // drop a TCP connection — root-side sites (proc.send, tcp.drop, ...)
+  // drop a TCP connection — root-side sites (mp.send, tcp.drop, ...)
   // fire in this process; worker-side sites ride the env into the workers.
   std::unique_ptr<chisimnet::runtime::FaultPlan> faultPlan;
   if (const char* planText =
