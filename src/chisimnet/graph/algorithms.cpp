@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <deque>
+#include <thread>
 
+#include "chisimnet/runtime/thread_pool.hpp"
 #include "chisimnet/util/error.hpp"
 
 namespace chisimnet::graph {
@@ -17,62 +19,133 @@ std::vector<std::uint64_t> degreeSequence(const Graph& graph) {
 
 namespace {
 
-/// Number of common neighbors of u and v (sorted-list intersection).
-std::uint64_t sharedNeighbors(const Graph& graph, Vertex u, Vertex v) {
-  const auto a = graph.neighbors(u);
-  const auto b = graph.neighbors(v);
-  std::uint64_t count = 0;
-  std::size_t ia = 0;
-  std::size_t ib = 0;
-  while (ia < a.size() && ib < b.size()) {
-    if (a[ia] < b[ib]) {
-      ++ia;
-    } else if (b[ib] < a[ia]) {
-      ++ib;
-    } else {
-      ++count;
-      ++ia;
-      ++ib;
-    }
-  }
-  return count;
+/// Edges per triangle-pass thread: below this a thread costs more to start
+/// than it saves, so small graphs count on the calling thread.
+constexpr std::uint64_t kEdgesPerTriangleWorker = std::uint64_t{1} << 15;
+
+unsigned triangleWorkers(const Graph& graph) {
+  const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
+  return static_cast<unsigned>(std::min<std::uint64_t>(
+      cores, 1 + graph.edgeCount() / kEdgesPerTriangleWorker));
 }
 
 }  // namespace
 
+namespace detail {
+
+std::vector<std::uint64_t> vertexTriangles(const Graph& graph,
+                                           unsigned workers) {
+  const Vertex n = graph.vertexCount();
+  workers = std::max(1u, workers);
+
+  // Orient every edge from the lower to the higher (degree, id) endpoint.
+  // Each triangle then has exactly one corner u with both other corners in
+  // N+(u), and no out-row is longer than O(sqrt(edges)), which bounds the
+  // work at hubs. Out-rows keep the ascending order of the CSR rows.
+  const auto precedes = [&graph](Vertex a, Vertex b) {
+    const std::uint64_t da = graph.degree(a);
+    const std::uint64_t db = graph.degree(b);
+    return da != db ? da < db : a < b;
+  };
+  std::vector<std::uint64_t> outOffsets(std::size_t{n} + 1, 0);
+  runtime::parallelFor(n, workers, [&](std::uint64_t u) {
+    std::uint64_t out = 0;
+    for (const Vertex v : graph.neighbors(static_cast<Vertex>(u))) {
+      out += precedes(static_cast<Vertex>(u), v) ? 1 : 0;
+    }
+    outOffsets[u + 1] = out;
+  });
+  for (std::size_t u = 0; u < n; ++u) {
+    outOffsets[u + 1] += outOffsets[u];
+  }
+  std::vector<Vertex> outNeighbors(outOffsets[n]);
+  runtime::parallelFor(n, workers, [&](std::uint64_t u) {
+    std::uint64_t cursor = outOffsets[u];
+    for (const Vertex v : graph.neighbors(static_cast<Vertex>(u))) {
+      if (precedes(static_cast<Vertex>(u), v)) {
+        outNeighbors[cursor++] = v;
+      }
+    }
+  });
+  const auto out = [&](Vertex u) {
+    return std::span<const Vertex>(outNeighbors.data() + outOffsets[u],
+                                   outNeighbors.data() + outOffsets[u + 1]);
+  };
+
+  // Mark N+(u); every marked w in N+(v), v in N+(u), closes (u, v, w).
+  // Each worker credits the three corners in its own count array, summed
+  // below, so the integer counts do not depend on the schedule.
+  std::vector<std::vector<std::uint64_t>> counts(workers);
+  std::vector<std::vector<std::uint8_t>> marks(workers);
+  runtime::parallelForWorkers(n, workers, [&](unsigned worker,
+                                              std::uint64_t index) {
+    const auto u = static_cast<Vertex>(index);
+    const auto outU = out(u);
+    if (outU.size() < 2) {
+      return;  // u is the lowest corner of no triangle
+    }
+    std::vector<std::uint64_t>& count = counts[worker];
+    std::vector<std::uint8_t>& mark = marks[worker];
+    if (count.empty()) {
+      count.assign(n, 0);
+      mark.assign(n, 0);
+    }
+    for (const Vertex w : outU) {
+      mark[w] = 1;
+    }
+    std::uint64_t atU = 0;
+    for (const Vertex v : outU) {
+      std::uint64_t atV = 0;
+      for (const Vertex w : out(v)) {
+        if (mark[w] != 0) {
+          ++atV;
+          ++count[w];
+        }
+      }
+      count[v] += atV;
+      atU += atV;
+    }
+    count[u] += atU;
+    for (const Vertex w : outU) {
+      mark[w] = 0;
+    }
+  });
+
+  std::vector<std::uint64_t> triangles(n, 0);
+  for (const std::vector<std::uint64_t>& count : counts) {
+    for (std::size_t v = 0; v < count.size(); ++v) {
+      triangles[v] += count[v];
+    }
+  }
+  return triangles;
+}
+
+}  // namespace detail
+
 std::vector<double> localClusteringCoefficients(const Graph& graph) {
+  const std::vector<std::uint64_t> triangles =
+      detail::vertexTriangles(graph, triangleWorkers(graph));
   std::vector<double> coefficients(graph.vertexCount(), 0.0);
   for (Vertex v = 0; v < graph.vertexCount(); ++v) {
     const std::uint64_t degree = graph.degree(v);
     if (degree < 2) {
       continue;
     }
-    // Closed triangles through v: for each neighbor pair (a, b) an edge
-    // a-b closes the triangle. Count via intersections along neighbors.
-    std::uint64_t closed = 0;
-    for (Vertex neighbor : graph.neighbors(v)) {
-      closed += sharedNeighbors(graph, v, neighbor);
-    }
-    // Each triangle at v was counted twice (once per incident neighbor).
     const double triples = static_cast<double>(degree) *
                            static_cast<double>(degree - 1) / 2.0;
-    coefficients[v] = static_cast<double>(closed) / 2.0 / triples;
+    coefficients[v] = static_cast<double>(triangles[v]) / triples;
   }
   return coefficients;
 }
 
 std::uint64_t triangleCount(const Graph& graph) {
-  // Sum over edges (u < v) of shared neighbors counts each triangle three
-  // times.
-  std::uint64_t tripleCounted = 0;
-  for (Vertex u = 0; u < graph.vertexCount(); ++u) {
-    for (Vertex v : graph.neighbors(u)) {
-      if (v > u) {
-        tripleCounted += sharedNeighbors(graph, u, v);
-      }
-    }
+  // Every triangle is credited to each of its three corners.
+  std::uint64_t cornerCredits = 0;
+  for (const std::uint64_t count :
+       detail::vertexTriangles(graph, triangleWorkers(graph))) {
+    cornerCredits += count;
   }
-  return tripleCounted / 3;
+  return cornerCredits / 3;
 }
 
 double globalTransitivity(const Graph& graph) {

@@ -18,6 +18,11 @@ std::vector<std::uint64_t> degreeSequence(const Graph& graph);
 /// Local clustering coefficient per vertex: the ratio of closed triangles
 /// to connected triples centered on the vertex (Wasserman & Faust). By
 /// convention vertices with degree < 2 get coefficient 0.
+///
+/// This and the two triangle functions below share one pass (see
+/// detail::vertexTriangles) that finds each triangle once, on one thread
+/// per core; its integer counts, and so every result, do not depend on
+/// the thread count.
 std::vector<double> localClusteringCoefficients(const Graph& graph);
 
 /// Global transitivity: 3 x triangles / connected triples over the whole
@@ -26,6 +31,18 @@ double globalTransitivity(const Graph& graph);
 
 /// Total number of triangles in the graph.
 std::uint64_t triangleCount(const Graph& graph);
+
+namespace detail {
+
+/// Triangles through each vertex, from degree-ordered forward enumeration
+/// on `workers` threads: orient each edge from the lower to the higher
+/// (degree, id) endpoint, and for each vertex u mark its out-neighbours;
+/// a marked out-neighbour w of an out-neighbour v closes the triangle
+/// (u, v, w), credited to all three corners.
+std::vector<std::uint64_t> vertexTriangles(const Graph& graph,
+                                           unsigned workers);
+
+}  // namespace detail
 
 /// All vertices within `radius` hops of `source` (including the source),
 /// sorted ascending. Radius 0 yields just the source.

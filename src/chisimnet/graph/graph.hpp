@@ -14,8 +14,8 @@
 /// matrix (paper §IV-V): vertices are persons, edge weights are collocated
 /// person-hours. Vertex ids are compacted to [0, n); the original person ids
 /// are retained as labels so analyses can join back to demographic data.
-/// Neighbor lists are sorted by vertex id, which the clustering and
-/// subgraph algorithms rely on for O(d1+d2) intersections.
+/// Neighbor lists are sorted by vertex id, which hasEdge/weightBetween
+/// rely on for binary search.
 
 namespace chisimnet::graph {
 
@@ -81,7 +81,15 @@ class Graph {
   std::size_t memoryBytes() const noexcept;
 
  private:
-  static Graph build(std::vector<Edge> edges, std::vector<std::uint32_t> labels);
+  /// Every constructor ends here. edgeAt(k), k in [0, count), yields the
+  /// edges over compact ids [0, labels.size()). Canonical input (u < v,
+  /// strictly ascending in (u, v), as CADJ stores its triplets) is built
+  /// in a degree-counting pass, a prefix sum and a fill pass, with no
+  /// sort; other input is canonicalized, sorted and its parallel edges
+  /// merged first, then built the same way.
+  template <class EdgeAt>
+  static Graph build(std::uint64_t count, const EdgeAt& edgeAt,
+                     std::vector<std::uint32_t> labels);
 
   std::vector<std::uint64_t> offsets_;  ///< size n+1
   std::vector<Vertex> neighbors_;       ///< both directions, sorted per row

@@ -955,9 +955,7 @@ int runTcpSynthesisWorker() {
       // No shared filesystem is assumed: spill into a private local
       // directory and ship run bytes to the root over the wire. The
       // root's spillDir in the params is meaningless on this host.
-      localSpill = std::filesystem::temp_directory_path() /
-                   ("chisim-tcp-worker-" + std::to_string(link.rank()) +
-                    "-" + std::to_string(::getpid()));
+      localSpill = runtime::workerScratchDir(link.rank(), ::getpid());
       std::filesystem::create_directories(localSpill);
       params.spillDir = localSpill.string();
     }

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
+#include <system_error>
 
 #include <fcntl.h>
 #include <netdb.h>
@@ -62,7 +63,20 @@ sockaddr_in resolveIpv4(const std::string& host, std::uint16_t port) {
   return address;
 }
 
+/// Spawn mode: removes a reaped child's scratch directory, which a child
+/// killed by a signal could not remove itself.
+void removeWorkerScratch(int rank, pid_t pid) {
+  std::error_code ignored;
+  std::filesystem::remove_all(workerScratchDir(rank, pid), ignored);
+}
+
 }  // namespace
+
+std::filesystem::path workerScratchDir(int rank, pid_t pid) {
+  return std::filesystem::temp_directory_path() /
+         ("chisim-tcp-worker-" + std::to_string(rank) + "-" +
+          std::to_string(pid));
+}
 
 std::pair<std::string, std::uint16_t> parseHostPort(const std::string& spec) {
   const std::size_t colon = spec.rfind(':');
@@ -206,11 +220,15 @@ TcpTransport::TcpTransport(TcpTransportOptions options)
     shuttingDown_ = true;
     ::shutdown(listenFd_, SHUT_RDWR);
     acceptThread_.join();
-    for (auto& s : slots_) {
-      if (s->pid > 0) {
-        ::kill(s->pid, SIGKILL);
-        ::waitpid(s->pid, nullptr, 0);
+    for (int rank = 1; rank < options_.rankCount; ++rank) {
+      Slot& s = slot(rank);
+      if (s.pid > 0) {
+        ::kill(s.pid, SIGKILL);
+        ::waitpid(s.pid, nullptr, 0);
+        removeWorkerScratch(rank, s.pid);
       }
+    }
+    for (auto& s : slots_) {
       shutdownSlotFd(*s);
     }
     for (std::thread& pump : pumps_) {
@@ -246,18 +264,19 @@ TcpTransport::~TcpTransport() {
   // their exit cue.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(2);
-  std::vector<pid_t> waiting;
+  std::vector<std::pair<int, pid_t>> waiting;  // (rank, pid)
   {
     std::lock_guard<std::mutex> lock(stateMutex_);
-    for (auto& s : slots_) {
-      if (s->pid > 0) {
-        waiting.push_back(s->pid);
+    for (int rank = 1; rank < options_.rankCount; ++rank) {
+      if (slot(rank).pid > 0) {
+        waiting.emplace_back(rank, slot(rank).pid);
       }
     }
   }
   while (!waiting.empty() && std::chrono::steady_clock::now() < deadline) {
     for (auto it = waiting.begin(); it != waiting.end();) {
-      if (::waitpid(*it, nullptr, WNOHANG) == *it) {
+      if (::waitpid(it->second, nullptr, WNOHANG) == it->second) {
+        removeWorkerScratch(it->first, it->second);
         it = waiting.erase(it);
       } else {
         ++it;
@@ -267,9 +286,10 @@ TcpTransport::~TcpTransport() {
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
   }
-  for (const pid_t pid : waiting) {
+  for (const auto& [rank, pid] : waiting) {
     ::kill(pid, SIGKILL);
     ::waitpid(pid, nullptr, 0);
+    removeWorkerScratch(rank, pid);
   }
 
   for (auto& s : slots_) {
@@ -589,6 +609,7 @@ void TcpTransport::monitorTick() {
       live = s.live;
     }
     if (pid > 0 && ::waitpid(pid, nullptr, WNOHANG) == pid) {
+      removeWorkerScratch(rank, pid);
       std::lock_guard<std::mutex> lock(stateMutex_);
       s.pid = -1;  // reaped; never waited on again
       s.processGone = true;
@@ -710,6 +731,7 @@ void TcpTransport::monitorTick() {
     if (respawn.stalePid > 0) {
       ::kill(respawn.stalePid, SIGKILL);  // silent past its grace: hung
       ::waitpid(respawn.stalePid, nullptr, 0);
+      removeWorkerScratch(respawn.rank, respawn.stalePid);
     }
     try {
       spawnWorker(respawn.rank);

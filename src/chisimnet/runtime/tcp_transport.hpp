@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <filesystem>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -291,6 +292,13 @@ class TcpTransport final : public Transport {
   std::thread acceptThread_;
   std::unique_ptr<PeriodicTask> monitor_;
 };
+
+/// Private scratch directory of the worker process `pid` serving `rank`:
+/// <tmp>/chisim-tcp-worker-<rank>-<pid>. A worker creates it when it needs
+/// local disk and removes it on an orderly exit; in spawn mode the root
+/// also removes it after reaping the child, so a SIGKILLed worker leaves
+/// nothing behind.
+std::filesystem::path workerScratchDir(int rank, pid_t pid);
 
 /// Worker-process end of the TCP transport: dials the root, replays the
 /// hello on reconnect, and serves the synthesis worker loop's recv/send.

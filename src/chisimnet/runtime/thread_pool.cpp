@@ -80,13 +80,20 @@ void ThreadPool::workerLoop() {
 
 void parallelFor(std::uint64_t count, unsigned workers,
                  const std::function<void(std::uint64_t)>& body) {
+  parallelForWorkers(count, workers,
+                     [&body](unsigned, std::uint64_t i) { body(i); });
+}
+
+void parallelForWorkers(
+    std::uint64_t count, unsigned workers,
+    const std::function<void(unsigned, std::uint64_t)>& body) {
   if (count == 0) {
     return;
   }
   workers = std::max(1u, workers);
   if (workers == 1 || count == 1) {
     for (std::uint64_t i = 0; i < count; ++i) {
-      body(i);
+      body(0, i);
     }
     return;
   }
@@ -97,7 +104,7 @@ void parallelFor(std::uint64_t count, unsigned workers,
   // Chunk size balances scheduling overhead against dynamic balance.
   const std::uint64_t chunk = std::max<std::uint64_t>(1, count / (workers * 8));
 
-  const auto drain = [&] {
+  const auto drain = [&](unsigned worker) {
     while (true) {
       const std::uint64_t begin = next.fetch_add(chunk);
       if (begin >= count) {
@@ -106,7 +113,7 @@ void parallelFor(std::uint64_t count, unsigned workers,
       const std::uint64_t end = std::min(count, begin + chunk);
       try {
         for (std::uint64_t i = begin; i < end; ++i) {
-          body(i);
+          body(worker, i);
         }
       } catch (...) {
         std::lock_guard<std::mutex> lock(errorMutex);
@@ -121,10 +128,10 @@ void parallelFor(std::uint64_t count, unsigned workers,
 
   std::vector<std::thread> threads;
   threads.reserve(workers - 1);
-  for (unsigned i = 0; i + 1 < workers; ++i) {
-    threads.emplace_back(drain);
+  for (unsigned worker = 1; worker < workers; ++worker) {
+    threads.emplace_back(drain, worker);
   }
-  drain();
+  drain(0);
   for (std::thread& thread : threads) {
     thread.join();
   }

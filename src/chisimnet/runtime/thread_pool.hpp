@@ -79,6 +79,13 @@ class ThreadPool {
 void parallelFor(std::uint64_t count, unsigned workers,
                  const std::function<void(std::uint64_t)>& body);
 
+/// Same, but body(worker, i) also receives the index in [0, workers) of the
+/// thread running it (the caller is worker 0), so callers can keep
+/// per-thread scratch state without locks.
+void parallelForWorkers(
+    std::uint64_t count, unsigned workers,
+    const std::function<void(unsigned, std::uint64_t)>& body);
+
 /// Timing record of one treeReduce() call. `criticalSeconds` sums the
 /// slowest merge of each level — the modeled parallel time of the tree,
 /// which is what a multi-core host would observe (this repo's benches run

@@ -4,7 +4,10 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <numeric>
 #include <sstream>
+#include <string>
 
 #include "chisimnet/graph/algorithms.hpp"
 #include "chisimnet/graph/generators.hpp"
@@ -83,6 +86,239 @@ TEST(Graph, FromTripletsMissingLabelRejected) {
   const std::vector<sparse::AdjacencyTriplet> triplets{{10, 99, 1}};
   const std::vector<std::uint32_t> universe{10, 20};
   EXPECT_THROW(Graph::fromTriplets(triplets, universe), std::invalid_argument);
+  // A dense universe is indexed through a table: ids past its end and
+  // holes inside it are both rejected.
+  const std::vector<std::uint32_t> dense{0, 1, 2, 3, 5, 6, 7};
+  const std::vector<sparse::AdjacencyTriplet> past{{3, 12, 1}};
+  const std::vector<sparse::AdjacencyTriplet> hole{{3, 4, 1}};
+  EXPECT_THROW(Graph::fromTriplets(past, dense), std::invalid_argument);
+  EXPECT_THROW(Graph::fromTriplets(hole, dense), std::invalid_argument);
+}
+
+/// CSR arrays of a graph, in the form both builds are compared in.
+struct Csr {
+  std::vector<std::uint64_t> offsets;
+  std::vector<Vertex> neighbors;
+  std::vector<Weight> weights;
+  std::vector<std::uint32_t> labels;
+};
+
+Csr csrOf(const Graph& graph) {
+  Csr csr;
+  csr.offsets.push_back(0);
+  for (Vertex v = 0; v < graph.vertexCount(); ++v) {
+    csr.offsets.push_back(csr.offsets.back() + graph.degree(v));
+    const auto row = graph.neighbors(v);
+    const auto rowWeights = graph.edgeWeights(v);
+    csr.neighbors.insert(csr.neighbors.end(), row.begin(), row.end());
+    csr.weights.insert(csr.weights.end(), rowWeights.begin(),
+                       rowWeights.end());
+  }
+  csr.labels.assign(graph.labels().begin(), graph.labels().end());
+  return csr;
+}
+
+/// The CSR build as it stood before the counting build: canonicalize,
+/// sort and merge a copy of the edges, scatter both directions, then sort
+/// every row. The differential oracle for Graph::build.
+Csr referenceBuild(std::vector<Edge> edges, std::vector<std::uint32_t> labels) {
+  for (Edge& edge : edges) {
+    if (edge.u > edge.v) {
+      std::swap(edge.u, edge.v);
+    }
+  }
+  std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
+    return a.u != b.u ? a.u < b.u : a.v < b.v;
+  });
+  std::vector<Edge> merged;
+  for (const Edge& edge : edges) {
+    if (!merged.empty() && merged.back().u == edge.u &&
+        merged.back().v == edge.v) {
+      merged.back().weight += edge.weight;
+    } else {
+      merged.push_back(edge);
+    }
+  }
+  Csr csr;
+  csr.labels = std::move(labels);
+  const std::size_t n = csr.labels.size();
+  csr.offsets.assign(n + 1, 0);
+  for (const Edge& edge : merged) {
+    ++csr.offsets[edge.u + 1];
+    ++csr.offsets[edge.v + 1];
+  }
+  for (std::size_t v = 1; v <= n; ++v) {
+    csr.offsets[v] += csr.offsets[v - 1];
+  }
+  csr.neighbors.resize(merged.size() * 2);
+  csr.weights.resize(merged.size() * 2);
+  std::vector<std::uint64_t> cursor(csr.offsets.begin(), csr.offsets.end() - 1);
+  for (const Edge& edge : merged) {
+    csr.neighbors[cursor[edge.u]] = edge.v;
+    csr.weights[cursor[edge.u]++] = edge.weight;
+    csr.neighbors[cursor[edge.v]] = edge.u;
+    csr.weights[cursor[edge.v]++] = edge.weight;
+  }
+  for (std::size_t v = 0; v < n; ++v) {
+    std::vector<std::pair<Vertex, Weight>> row;
+    for (std::uint64_t i = csr.offsets[v]; i < csr.offsets[v + 1]; ++i) {
+      row.emplace_back(csr.neighbors[i], csr.weights[i]);
+    }
+    std::sort(row.begin(), row.end());
+    for (std::uint64_t i = csr.offsets[v]; i < csr.offsets[v + 1]; ++i) {
+      csr.neighbors[i] = row[i - csr.offsets[v]].first;
+      csr.weights[i] = row[i - csr.offsets[v]].second;
+    }
+  }
+  return csr;
+}
+
+Csr referenceFromTriplets(std::span<const sparse::AdjacencyTriplet> triplets,
+                          std::vector<std::uint32_t> labels) {
+  std::sort(labels.begin(), labels.end());
+  labels.erase(std::unique(labels.begin(), labels.end()), labels.end());
+  std::vector<Edge> edges;
+  for (const sparse::AdjacencyTriplet& triplet : triplets) {
+    const auto compact = [&labels](std::uint32_t id) {
+      return static_cast<Vertex>(
+          std::lower_bound(labels.begin(), labels.end(), id) - labels.begin());
+    };
+    edges.push_back(
+        Edge{compact(triplet.i), compact(triplet.j), triplet.weight});
+  }
+  return referenceBuild(std::move(edges), std::move(labels));
+}
+
+Csr referenceFromTriplets(std::span<const sparse::AdjacencyTriplet> triplets) {
+  std::vector<std::uint32_t> labels;
+  for (const sparse::AdjacencyTriplet& triplet : triplets) {
+    labels.push_back(triplet.i);
+    labels.push_back(triplet.j);
+  }
+  return referenceFromTriplets(triplets, std::move(labels));
+}
+
+void expectSameCsr(const Graph& graph, const Csr& reference,
+                   const std::string& what) {
+  const Csr built = csrOf(graph);
+  EXPECT_EQ(built.offsets, reference.offsets) << what;
+  EXPECT_EQ(built.neighbors, reference.neighbors) << what;
+  EXPECT_EQ(built.weights, reference.weights) << what;
+  EXPECT_EQ(built.labels, reference.labels) << what;
+}
+
+/// Random triplets over ids drawn by `id`, in random order, with some
+/// endpoints swapped (i > j) and some triplets repeated.
+template <class DrawId>
+std::vector<sparse::AdjacencyTriplet> messyTriplets(util::Rng& rng,
+                                                    std::size_t count,
+                                                    DrawId drawId) {
+  std::vector<sparse::AdjacencyTriplet> triplets;
+  while (triplets.size() < count) {
+    const std::uint32_t i = drawId();
+    const std::uint32_t j = drawId();
+    if (i == j) {
+      continue;
+    }
+    triplets.push_back({i, j, 1 + rng.uniformBelow(100)});
+    if (rng.uniformBelow(5) == 0) {
+      triplets.push_back({j, i, 1 + rng.uniformBelow(100)});
+    }
+  }
+  return triplets;
+}
+
+/// The same triplets with i < j, grouped by ascending i but in random
+/// order, repeats included, within each row: canonical-looking until a
+/// column steps back.
+std::vector<sparse::AdjacencyTriplet> rowOrder(
+    std::vector<sparse::AdjacencyTriplet> triplets, util::Rng& rng) {
+  for (sparse::AdjacencyTriplet& triplet : triplets) {
+    if (triplet.i > triplet.j) {
+      std::swap(triplet.i, triplet.j);
+    }
+  }
+  rng.shuffle(triplets);
+  std::stable_sort(triplets.begin(), triplets.end(),
+                   [](const sparse::AdjacencyTriplet& a,
+                      const sparse::AdjacencyTriplet& b) { return a.i < b.i; });
+  return triplets;
+}
+
+/// The same edges as CADJ stores them: i < j, strictly ascending, merged.
+std::vector<sparse::AdjacencyTriplet> cadjOrder(
+    std::vector<sparse::AdjacencyTriplet> triplets) {
+  std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint64_t> merged;
+  for (const sparse::AdjacencyTriplet& triplet : triplets) {
+    merged[{std::min(triplet.i, triplet.j), std::max(triplet.i, triplet.j)}] +=
+        triplet.weight;
+  }
+  std::vector<sparse::AdjacencyTriplet> sorted;
+  for (const auto& [pair, weight] : merged) {
+    sorted.push_back({pair.first, pair.second, weight});
+  }
+  return sorted;
+}
+
+TEST(Graph, CountingBuildMatchesSortingBuild) {
+  util::Rng rng(47);
+  const auto denseId = [&rng] {
+    return static_cast<std::uint32_t>(rng.uniformBelow(400));
+  };
+  // Mostly huge ids: the id table would not fit, so compaction sorts.
+  const auto sparseId = [&rng] {
+    return rng.uniformBelow(4) == 0
+               ? static_cast<std::uint32_t>(rng.uniformBelow(50))
+               : 0xFFFFFFF0u - static_cast<std::uint32_t>(rng.uniformBelow(60));
+  };
+  const std::vector<std::pair<std::string, std::vector<sparse::AdjacencyTriplet>>>
+      inputs{{"empty", {}},
+             {"dense ids, unsorted with duplicates",
+              messyTriplets(rng, 3000, denseId)},
+             {"sparse ids, unsorted with duplicates",
+              messyTriplets(rng, 600, sparseId)}};
+  for (const auto& [name, messy] : inputs) {
+    for (const auto& [order, triplets] :
+         {std::pair{"messy", messy}, std::pair{"rows", rowOrder(messy, rng)},
+          std::pair{"cadj", cadjOrder(messy)}}) {
+      const std::string what = name + " / " + order;
+      expectSameCsr(Graph::fromTriplets(triplets),
+                    referenceFromTriplets(triplets), what);
+      // A shuffled universe with repeats and isolated vertices.
+      std::vector<std::uint32_t> universe{7, 0xFFFFFFFEu, 7, 401, 3};
+      for (const sparse::AdjacencyTriplet& triplet : triplets) {
+        universe.push_back(triplet.j);
+        universe.push_back(triplet.i);
+      }
+      rng.shuffle(universe);
+      expectSameCsr(Graph::fromTriplets(triplets, universe),
+                    referenceFromTriplets(triplets, universe),
+                    what + " / universe");
+    }
+  }
+
+  std::vector<Edge> edges;
+  for (int k = 0; k < 2000; ++k) {
+    const auto u = static_cast<Vertex>(rng.uniformBelow(300));
+    const auto v = static_cast<Vertex>(rng.uniformBelow(300));
+    if (u != v) {
+      edges.push_back(Edge{u, v, 1 + rng.uniformBelow(9)});
+    }
+  }
+  std::vector<std::uint32_t> identity(300);
+  std::iota(identity.begin(), identity.end(), 0u);
+  expectSameCsr(Graph::fromEdges(edges, 300), referenceBuild(edges, identity),
+                "edges, unsorted with duplicates");
+  std::map<std::pair<Vertex, Vertex>, Weight> merged;
+  for (const Edge& edge : edges) {
+    merged[{std::min(edge.u, edge.v), std::max(edge.u, edge.v)}] += edge.weight;
+  }
+  std::vector<Edge> canonical;
+  for (const auto& [pair, weight] : merged) {
+    canonical.push_back(Edge{pair.first, pair.second, weight});
+  }
+  expectSameCsr(Graph::fromEdges(canonical, 300),
+                referenceBuild(canonical, identity), "edges, canonical");
 }
 
 TEST(Algorithms, DegreeSequence) {
@@ -153,6 +389,134 @@ TEST_P(ClusteringProperty, MatchesBruteForceOnRandomGraphs) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ClusteringProperty,
                          ::testing::Values(1, 2, 3, 4, 5, 6));
+
+/// Triangles through each vertex: its neighbour pairs joined by an edge.
+std::vector<std::uint64_t> bruteForceTriangles(const Graph& graph) {
+  std::vector<std::uint64_t> triangles(graph.vertexCount(), 0);
+  for (Vertex v = 0; v < graph.vertexCount(); ++v) {
+    const auto row = graph.neighbors(v);
+    for (std::size_t a = 0; a < row.size(); ++a) {
+      for (std::size_t b = a + 1; b < row.size(); ++b) {
+        triangles[v] += graph.hasEdge(row[a], row[b]) ? 1 : 0;
+      }
+    }
+  }
+  return triangles;
+}
+
+/// Local clustering as computed before the oriented triangle kernel: a
+/// sorted-list merge intersection along every directed edge, so each
+/// triangle at v is seen twice. Pins the coefficients bit for bit.
+std::vector<double> mergeIntersectionClustering(const Graph& graph) {
+  std::vector<double> coefficients(graph.vertexCount(), 0.0);
+  for (Vertex v = 0; v < graph.vertexCount(); ++v) {
+    const std::uint64_t degree = graph.degree(v);
+    if (degree < 2) {
+      continue;
+    }
+    std::uint64_t closed = 0;
+    for (Vertex neighbor : graph.neighbors(v)) {
+      const auto a = graph.neighbors(v);
+      const auto b = graph.neighbors(neighbor);
+      std::size_t ia = 0;
+      std::size_t ib = 0;
+      while (ia < a.size() && ib < b.size()) {
+        if (a[ia] < b[ib]) {
+          ++ia;
+        } else if (b[ib] < a[ia]) {
+          ++ib;
+        } else {
+          ++closed;
+          ++ia;
+          ++ib;
+        }
+      }
+    }
+    const double triples = static_cast<double>(degree) *
+                           static_cast<double>(degree - 1) / 2.0;
+    coefficients[v] = static_cast<double>(closed) / 2.0 / triples;
+  }
+  return coefficients;
+}
+
+struct NamedGraph {
+  std::string name;
+  Graph graph;
+};
+
+/// Shapes that stress the orientation: nothing to orient, a hub whose
+/// triangles all start at its leaves, a clique, degree ties everywhere
+/// (a ring lattice), preferential-attachment hubs, and the ER seeds of
+/// ClusteringProperty.
+std::vector<NamedGraph> triangleCases() {
+  std::vector<NamedGraph> cases;
+  cases.push_back({"empty", Graph{}});
+  cases.push_back({"isolated", Graph::fromEdges({}, 7)});
+  std::vector<Edge> star;
+  for (Vertex leaf = 1; leaf <= 40; ++leaf) {
+    star.push_back(Edge{0, leaf, leaf});
+  }
+  for (Vertex leaf = 1; leaf + 1 <= 40; leaf += 3) {
+    star.push_back(Edge{leaf, static_cast<Vertex>(leaf + 1), 1});
+  }
+  cases.push_back({"star", Graph::fromEdges(star, 41)});
+  std::vector<Edge> clique;
+  for (Vertex u = 0; u < 8; ++u) {
+    for (Vertex v = u + 1; v < 8; ++v) {
+      clique.push_back(Edge{u, v, 1});
+    }
+  }
+  cases.push_back({"K8", Graph::fromEdges(clique, 8)});
+  util::Rng rng(41);
+  cases.push_back({"ring lattice", wattsStrogatz(64, 3, 0.0, rng)});
+  cases.push_back({"barabasi-albert", barabasiAlbert(600, 4, rng)});
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    util::Rng erRng(seed);
+    cases.push_back(
+        {"ER seed " + std::to_string(seed), erdosRenyi(60, 240, erRng)});
+  }
+  return cases;
+}
+
+TEST(TriangleKernel, CountsMatchNeighbourPairOracle) {
+  for (const NamedGraph& entry : triangleCases()) {
+    const std::vector<std::uint64_t> oracle = bruteForceTriangles(entry.graph);
+    EXPECT_EQ(detail::vertexTriangles(entry.graph, 1), oracle) << entry.name;
+    std::uint64_t corners = 0;
+    std::uint64_t triples = 0;
+    for (Vertex v = 0; v < entry.graph.vertexCount(); ++v) {
+      corners += oracle[v];
+      const std::uint64_t degree = entry.graph.degree(v);
+      triples += degree * (degree - 1) / 2;
+    }
+    ASSERT_EQ(corners % 3, 0u) << entry.name;
+    EXPECT_EQ(triangleCount(entry.graph), corners / 3) << entry.name;
+    EXPECT_EQ(globalTransitivity(entry.graph),
+              triples == 0 ? 0.0
+                           : 3.0 * static_cast<double>(corners / 3) /
+                                 static_cast<double>(triples))
+        << entry.name;
+  }
+}
+
+TEST(TriangleKernel, ClusteringBitIdenticalToMergeIntersection) {
+  for (const NamedGraph& entry : triangleCases()) {
+    EXPECT_EQ(localClusteringCoefficients(entry.graph),
+              mergeIntersectionClustering(entry.graph))
+        << entry.name;
+  }
+}
+
+TEST(TriangleKernel, CountsDoNotDependOnWorkerCount) {
+  std::vector<NamedGraph> cases = triangleCases();
+  util::Rng rng(43);
+  cases.push_back({"large ER", erdosRenyi(3000, 60000, rng)});
+  for (const NamedGraph& entry : cases) {
+    EXPECT_EQ(detail::vertexTriangles(entry.graph, 4),
+              detail::vertexTriangles(entry.graph, 1))
+        << entry.name;
+  }
+}
 
 TEST(Algorithms, VerticesWithinRadius) {
   // Path 0-1-2-3-4.

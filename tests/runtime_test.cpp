@@ -470,6 +470,26 @@ TEST(ParallelFor, ComputesEveryIndexOnce) {
   }
 }
 
+TEST(ParallelFor, WorkerIndexOwnsItsScratch) {
+  // Plain (non-atomic) per-worker sums: TSan flags any index shared by two
+  // threads at once.
+  std::vector<std::uint64_t> sums(4, 0);
+  std::vector<std::atomic<int>> touched(1000);
+  parallelForWorkers(1000, 4, [&](unsigned worker, std::uint64_t i) {
+    if (worker >= sums.size()) {
+      ADD_FAILURE() << "worker index " << worker << " out of range";
+      return;
+    }
+    sums[worker] += i;
+    touched[i].fetch_add(1);
+  });
+  EXPECT_EQ(std::accumulate(sums.begin(), sums.end(), std::uint64_t{0}),
+            999u * 1000u / 2);
+  for (const auto& count : touched) {
+    EXPECT_EQ(count.load(), 1);
+  }
+}
+
 TEST(ParallelFor, ZeroCountNoop) {
   parallelFor(0, 4, [](std::uint64_t) { FAIL() << "must not run"; });
 }

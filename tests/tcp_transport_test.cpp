@@ -536,7 +536,7 @@ class RootSideKill {
       }
       const auto children = childProcesses();
       if (!children.empty() && ::kill(children.front(), SIGKILL) == 0) {
-        killed_.store(true);
+        killed_.store(children.front());
       }
     });
   }
@@ -545,8 +545,9 @@ class RootSideKill {
   RootSideKill(const RootSideKill&) = delete;
   RootSideKill& operator=(const RootSideKill&) = delete;
 
-  /// Joins the killer; true when it delivered its SIGKILL.
-  bool join() {
+  /// Joins the killer; the pid it SIGKILLed, or -1 when it found no
+  /// worker.
+  pid_t join() {
     if (thread_.joinable()) {
       thread_.join();
     }
@@ -554,14 +555,15 @@ class RootSideKill {
   }
 
  private:
-  std::atomic<bool> killed_{false};
+  std::atomic<pid_t> killed_{-1};
   std::thread thread_;
 };
 
 /// Acceptance (respawn path): one worker process is SIGKILLed before its
-/// first command reaches it. The monitor reaps it and exec's a replacement
-/// that claims the slot's epoch, the command retry lands on the fresh
-/// process, and the output is bit-identical with no rank lost.
+/// first command reaches it. The monitor reaps it, removes the scratch dir
+/// the dead worker could not remove, and exec's a replacement that claims
+/// the slot's epoch; the command retry lands on the fresh process, and the
+/// output is bit-identical with no rank lost.
 TEST(TcpSynthesisTest, SigkilledWorkerIsRespawnedBitIdentical) {
   const FuzzCase fuzz = makeCase(93);
   const auto reference =
@@ -578,13 +580,22 @@ TEST(TcpSynthesisTest, SigkilledWorkerIsRespawnedBitIdentical) {
   config.filesPerBatch = 2;
   NetworkSynthesizer synthesizer(config);
   const auto adjacency = synthesizer.synthesizeAdjacency(files);
-  ASSERT_TRUE(kill.join()) << "the killer never found a worker";
+  const pid_t killed = kill.join();
+  ASSERT_GT(killed, 0) << "the killer never found a worker";
   expectEqualAdjacency(adjacency, reference, "respawn path");
   const SynthesisReport& report = synthesizer.report();
   EXPECT_EQ(report.ranksLost, 0);
   EXPECT_GE(report.workersRespawned, 1u);
   EXPECT_TRUE(hasFault(report, FaultEvent::Kind::kWorkerRespawn));
   EXPECT_FALSE(hasFault(report, FaultEvent::Kind::kRankLost));
+  const std::string suffix = "-" + std::to_string(killed);
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::filesystem::temp_directory_path())) {
+    const std::string name = entry.path().filename().string();
+    EXPECT_FALSE(name.starts_with("chisim-tcp-worker-") &&
+                 name.ends_with(suffix))
+        << "the killed worker's scratch dir outlived the run: " << name;
+  }
 }
 
 /// Acceptance (reassignment path): worker rank 2 SIGKILLs itself on every
@@ -637,7 +648,7 @@ TEST(TcpSynthesisTest, MaxRespawnsZeroLosesTheRankOnFirstDeath) {
   config.maxRespawns = 0;
   NetworkSynthesizer synthesizer(config);
   const auto adjacency = synthesizer.synthesizeAdjacency(files);
-  ASSERT_TRUE(kill.join()) << "the killer never found a worker";
+  ASSERT_GT(kill.join(), 0) << "the killer never found a worker";
   expectEqualAdjacency(adjacency, reference, "respawn disabled");
   const SynthesisReport& report = synthesizer.report();
   EXPECT_EQ(report.ranksLost, 1);

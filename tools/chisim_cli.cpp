@@ -147,7 +147,15 @@ class Args {
     if (it == values_.end()) {
       return fallback;
     }
-    return std::stod(it->second);
+    double value = 0.0;
+    const auto& text = it->second;
+    const auto [ptr, ec] =
+        std::from_chars(text.data(), text.data() + text.size(), value);
+    if (ec != std::errc{} || ptr != text.data() + text.size()) {
+      throw std::invalid_argument("--" + key + " expects a number, got: " +
+                                  text);
+    }
+    return value;
   }
 
   /// Throws on the first given flag the subcommand never read, naming the
